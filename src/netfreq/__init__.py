@@ -33,34 +33,24 @@ from .nf_oracle import (
     oracle_nf,
     oracle_repeated_suffixes,
 )
-from .online_builder import (
-    ActiveMoved,
-    EdgeSplit,
-    NewLeaf,
-    OnlineBuilder,
-    SuffixLinkSet,
-)
+from .online_builder import OnlineBuilder
 from .suffix_tree import Locus, SuffixTree
 from .text_store import Occurrence, TextStore, as_symbols
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveMoved",
     "CLASS_COINCIDING",
     "CLASS_EXTERNAL",
     "CLASS_INTERNAL",
-    "EdgeSplit",
     "ImplicitRegistry",
     "ImplicitWeinerTarget",
     "Locus",
     "NetFrequencyIndex",
-    "NewLeaf",
     "NfBreakdown",
     "NfReport",
     "Occurrence",
     "OnlineBuilder",
-    "SuffixLinkSet",
     "SuffixTree",
     "TextStore",
     "as_symbols",

@@ -15,15 +15,19 @@ depth passes a branching node, the pointer is not advanced until the
 next query. A trailing pointer always stays on the member's own root
 path (drops and split relocations preserve that), so a query-time sweep
 restores every pointer with a skip/count walk from where it stopped.
-The walk work equals the boundary crossings it resolves, amortized over
-the extensions that caused them, and construction itself stays O(1) per
-event. The price is paid where it is observable: queries after a long
-burst of extensions do the deferred pointer advancing first.
+The walks equal the boundary crossings they resolve, paid by the first
+query after a burst of extensions.
+
+Neither construction nor sync is constant time per event. edge_split
+re-points every member of the moved group and leaf_added pops a group
+head off the front of a list, both O(group size). _sync visits every
+member, and once any record moved it rebuilds the edge lists by sorting
+all members. On runs (a^k then b) and short-period text both costs grow
+quadratically with the text.
 """
 
 from __future__ import annotations
 
-from .online_builder import ActiveMoved, EdgeSplit, NewLeaf
 from .suffix_tree import KIND_BRANCH, KIND_LEAF, ROOT, SuffixTree
 from .text_store import TextStore
 
@@ -35,7 +39,8 @@ _CLASS_RANK = {CLASS_EXTERNAL: 0, CLASS_INTERNAL: 1, CLASS_COINCIDING: 2}
 
 
 class ImplicitRegistry:
-    """Per-edge implicit-node index, updated from builder events.
+    """Per-edge implicit-node index, kept current by the builder's
+    hooks leaf_added, edge_split and phase_ended.
 
     State:
       _member_node: suffix start (0-based) -> recorded node, an edge
@@ -46,16 +51,13 @@ class ImplicitRegistry:
       _seen: symbol codes that occurred at least once
       _synced_at: text length the records were last advanced for
 
-    With paranoid=True (and `builder` set), every phase is checked
-    against a from-scratch recomputation; that is the slow differential
-    mode, far too expensive for real use.
+    verify() checks the state against a from-scratch recomputation; it is
+    for tests, far too slow for real use.
     """
 
-    def __init__(self, store: TextStore, tree: SuffixTree, paranoid: bool = False):
+    def __init__(self, store: TextStore, tree: SuffixTree):
         self.store = store
         self.tree = tree
-        self.paranoid = paranoid
-        self.builder = None
         self._member_node: dict[int, int] = {}
         self._edge_members: dict[int, list[int]] = {}
         self._seen: set[int] = set()
@@ -66,7 +68,7 @@ class ImplicitRegistry:
         self._depth = tree.depth_arr
         self._children = tree.child_map
 
-    # -- event intake ------------------------------------------------------
+    # -- construction hooks --------------------------------------------------
 
     def leaf_added(self, leaf: int, parent: int, j: int) -> None:
         """Suffix j (0-based) got a leaf, so it is no longer repeated.
@@ -97,20 +99,12 @@ class ImplicitRegistry:
         for p in lst:
             member_node[p] = new_node
 
-    def phase_ended(self, n: int = -1, c: int = -1) -> None:
-        """All extensions for the newest symbol are done. The only exact
-        bookkeeping left is the birth of the length-1 member: the new
-        suffix c is repeated iff c occurred before, and its locus starts
-        on the edge into the root's c-child. Its start n - 1 is the
-        largest alive, so appending keeps the group ascending.
-
-        n and c (text length and last symbol) are passed by the builder;
-        the no-argument form used by event replay reads them off the
-        store."""
-        if n < 0:
-            syms = self._syms
-            n = len(syms)
-            c = syms[-1]
+    def phase_ended(self, n: int, c: int) -> None:
+        """All extensions for symbol c, which made the text n long, are
+        done. The only exact bookkeeping left is the birth of the length-1
+        member: the new suffix c is repeated iff c occurred before, and its
+        locus starts on the edge into the root's c-child. Its start n - 1
+        is the largest alive, so appending keeps the group ascending."""
         seen = self._seen
         if c in seen:
             p = n - 1
@@ -123,27 +117,15 @@ class ImplicitRegistry:
                 edge_members[v] = [p]
         else:
             seen.add(c)
-        if self.paranoid and self.builder is not None:
-            self.verify(self.builder.active_depth())
-
-    def on_event(self, e) -> None:
-        """Replay entry point; equivalent to the direct calls when events
-        are fed in emission order after each extension."""
-        if isinstance(e, NewLeaf):
-            self.leaf_added(e.leaf, e.parent, e.suffix_start - 1)
-        elif isinstance(e, EdgeSplit):
-            self.edge_split(e.old_child, e.new_node)
-        elif isinstance(e, ActiveMoved):
-            self.phase_ended()
-        # suffix link assignments carry no implicit-node information
 
     def _sync(self) -> None:
         """Advance every recorded node past the boundaries its member's
         depth crossed since the last query. A record only ever trails
         along its member's own root path, so a skip/count walk from it
         lands exactly; records on leaf edges never move again (open ends
-        deepen with the text). Work is proportional to the crossings
-        being resolved."""
+        deepen with the text). The walks are proportional to the crossings
+        being resolved, but the scan visits every member and, if any record
+        moved, the edge lists are rebuilt by sorting all members."""
         n = len(self._syms)
         if self._synced_at == n:
             return
@@ -291,7 +273,7 @@ class ImplicitRegistry:
         edge child id, depth, class, tab-separated."""
         return "\n".join(f"{u}\t{d}\t{cls}" for d, _s, u, cls in self.members())
 
-    # -- slow differential mode ---------------------------------------------
+    # -- slow differential check ---------------------------------------------
 
     def recompute_member_map(self, active_depth: int) -> dict[int, int]:
         """From-scratch loci of all repeated suffixes: walk each suffix of

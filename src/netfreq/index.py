@@ -15,17 +15,18 @@ class NetFrequencyIndex:
 
     Symbols stream in through extend()/extend_text(); queries are valid
     between extensions. seal() terminates the text, after which queries
-    run against the classic sentinel-terminated tree.
+    run against the classic sentinel-terminated tree. The registry is the
+    builder's observer. An exception that escapes an update mid-phase
+    leaves the index unusable: later updates and queries raise
+    RuntimeError, chained to that exception.
     """
 
-    def __init__(self, alphabet_size: int = 256,
-                 collect_events: bool = False, paranoid: bool = False):
+    def __init__(self, alphabet_size: int = 256):
         self.store = TextStore(alphabet_size)
-        self.builder = OnlineBuilder(self.store, collect_events=collect_events)
+        self.builder = OnlineBuilder(self.store)
         self.tree = self.builder.tree
-        self.registry = ImplicitRegistry(self.store, self.tree, paranoid=paranoid)
+        self.registry = ImplicitRegistry(self.store, self.tree)
         self.builder.registry = self.registry
-        self.registry.builder = self.builder
 
     def __len__(self) -> int:
         return len(self.store)
@@ -34,23 +35,25 @@ class NetFrequencyIndex:
     def sealed(self) -> bool:
         return self.store.sealed
 
-    def extend(self, symbol) -> list:
-        return self.builder.extend(symbol)
+    def extend(self, symbol) -> None:
+        self.builder.extend(symbol)
 
-    def extend_text(self, text) -> list:
-        return self.builder.extend_text(text)
+    def extend_text(self, text) -> None:
+        self.builder.extend_text(text)
 
-    def seal(self) -> list:
-        return self.builder.seal()
+    def seal(self) -> None:
+        self.builder.seal()
 
     def single_nf(self, s) -> int:
         """Net frequency of s against the current text."""
+        self.builder.ensure_usable()
         if self.store.sealed:
             return offline_single_nf(self.tree, s)
         return online_single_nf(self.builder, self.registry, s)
 
     def all_nf(self) -> list[NfReport]:
         """All strings of positive net frequency, ascending by occurrence."""
+        self.builder.ensure_usable()
         if self.store.sealed:
             return offline_all_nf(self.tree)
         return online_all_nf(self.builder, self.registry)

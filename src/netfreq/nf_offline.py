@@ -150,9 +150,11 @@ def offline_all_nf(tree: SuffixTree) -> list[NfReport]:
                 any_positive = True
     if not any_positive:
         return []
-    starts = tree.min_suffix_starts()
-    reports = [NfReport(Occurrence(starts[v], starts[v] + depth_arr[v] - 1), phi[v], v)
-               for v in range(1, count)
-               if kind[v] == KIND_BRANCH and phi[v] >= 1]
+    start = tree.start
+    reports = []
+    for v in range(1, count):
+        if kind[v] == KIND_BRANCH and phi[v] >= 1:
+            i = start(v)
+            reports.append(NfReport(Occurrence(i, i + depth_arr[v] - 1), phi[v], v))
     reports.sort(key=lambda r: r.occurrence)
     return reports

@@ -188,14 +188,14 @@ def online_all_nf(builder: OnlineBuilder, registry: ImplicitRegistry) -> list[Nf
                 alpha = (aloc.node, aloc.d, value)
     reports = []
     if alpha is not None or maybe_positive:
-        starts = tree.min_suffix_starts()
+        start = tree.start
         for v in range(1, count):
             if kind[v] == KIND_BRANCH and phi[v] >= 1:
-                i = starts[v]
+                i = start(v)
                 reports.append(NfReport(Occurrence(i, i + depth_arr[v] - 1), phi[v], v))
         if alpha is not None:
             node, d, value = alpha
-            i = starts[node]
+            i = start(node)
             reports.append(NfReport(Occurrence(i, i + d - 1), value, node))
         reports.sort(key=lambda r: r.occurrence)
     return reports

@@ -2,42 +2,16 @@
 
 Ukkonen-style update with an explicit active point, open leaf ends, and
 suffix links. Weiner links are recorded as the mirror of every suffix
-link assignment. Each mutation is also published as an event so that
-observers (the implicit-locus registry, differential tests) can replay
-the exact construction.
+link assignment. One phase loop serves every entry point; an observer
+(the implicit-locus registry) sees construction through three hooks:
+leaf_added(leaf, parent, j), edge_split(old_child, new_node) and
+phase_ended(n, c).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .suffix_tree import KIND_BRANCH, KIND_LEAF, NIL, ROOT, Locus, SuffixTree
 from .text_store import TextStore, as_symbols
-
-
-class NewLeaf(NamedTuple):
-    """A leaf was attached for the suffix starting at suffix_start (1-based)."""
-    leaf: int
-    parent: int
-    suffix_start: int
-
-
-class EdgeSplit(NamedTuple):
-    """The edge into old_child was cut; new_node now owns its upper part."""
-    old_child: int
-    new_node: int
-
-
-class SuffixLinkSet(NamedTuple):
-    source: int
-    target: int
-
-
-class ActiveMoved(NamedTuple):
-    """Extension finished; the active point moved. Both ends are canonical
-    loci as (node, depth) pairs."""
-    old: tuple[int, int]
-    new: tuple[int, int]
 
 
 class OnlineBuilder:
@@ -48,44 +22,79 @@ class OnlineBuilder:
     active_edge is a 0-based text position of the next unmatched symbol.
     Invariant between extensions: remainder equals the length of the
     active string (the longest repeated suffix).
+
+    registry, when set, is any object with the three hooks named in the
+    module docstring. Each hook is looked up on it at every call (binding
+    all three per extend() would cost more than the calls), so wrappers
+    installed on the instance see every call.
     """
 
-    def __init__(self, store: TextStore, registry=None, collect_events: bool = False):
+    def __init__(self, store: TextStore, registry=None):
         self.store = store
         self.tree = SuffixTree(store)
         self.registry = registry
-        self.collect_events = collect_events
         self.active_node = ROOT
         self.active_edge = 0
         self.active_length = 0
         self.remainder = 0
+        self._failure: BaseException | None = None
         if len(store) != 0:
             raise ValueError("builder requires an empty store")
 
     # -- public surface ------------------------------------------------
 
-    def extend(self, symbol) -> list:
-        """Append one symbol and update the tree. Returns the list of
-        events for this extension (empty unless collect_events)."""
+    def extend(self, symbol) -> None:
+        """Append one symbol and update the tree."""
         code = ord(symbol) if isinstance(symbol, str) else symbol
-        self.store.append(code)
-        return self._extend_tree(code)
+        if self._failure is not None:  # ensure_usable(), inlined on the hot path
+            self.ensure_usable()
+        self._phases(self.store.append(code) - 1)
 
-    def extend_text(self, text) -> list:
+    def extend_text(self, text) -> None:
         """Append every symbol of text. Same effect as repeated extend();
-        bulk appends run a flattened loop that skips per-call overhead."""
-        reg = self.registry
-        if self.collect_events or (reg is not None and reg.paranoid):
-            events = []
-            for code in as_symbols(text):
-                events.extend(self.extend(code))
-            return events
+        a symbol outside the alphabet rejects the whole text."""
         codes = as_symbols(text)
-        store = self.store
-        if store.sealed:
-            raise ValueError("store is sealed")
-        asz = store.alphabet_size
-        syms = store._symbols
+        self.ensure_usable()
+        first = len(self.store)
+        self.store.extend(codes)
+        self._phases(first)
+
+    def seal(self) -> None:
+        """Terminate the text with the sentinel and run its extension.
+
+        Afterwards every suffix has a leaf and the active point rests at
+        the root. Further extends fail at the store."""
+        self.ensure_usable()
+        self._phases(self.store.seal() - 1)
+
+    def ensure_usable(self) -> None:
+        """Raise RuntimeError if an update failed mid-phase: the tree and
+        the active point are then out of step with the store for good."""
+        if self._failure is not None:
+            raise RuntimeError("index unusable: an update failed mid-phase") \
+                from self._failure
+
+    def active_locus(self) -> Locus:
+        """Canonical locus of the active string (the longest repeated
+        suffix); Locus(0, 0) when it is empty."""
+        if self.active_length == 0:
+            u = self.active_node
+            return Locus(u, self.tree.depth_arr[u])
+        tree = self.tree
+        below = tree.child_map[self.active_node][self.store._symbols[self.active_edge]]
+        return Locus(below, tree.depth_arr[self.active_node] + self.active_length)
+
+    def active_depth(self) -> int:
+        return self.tree.depth_arr[self.active_node] + self.active_length
+
+    # -- update cascade --------------------------------------------------
+
+    def _phases(self, first: int) -> None:
+        """Run one Ukkonen phase for every store position from first on
+        (0-based). The active point is written back only after the last
+        phase; an exception escaping any phase marks the builder unusable
+        instead, since the tree may then hold half of a phase."""
+        syms = self.store._symbols
         tree = self.tree
         kind = tree.kind
         parent = tree.parent
@@ -95,36 +104,33 @@ class OnlineBuilder:
         slink_arr = tree.slink_arr
         child_map = tree.child_map
         wlink_map = tree.wlink_map
-        if reg is not None:
-            reg_leaf = reg.leaf_added
-            reg_split = reg.edge_split
-            reg_phase = reg.phase_ended
+        reg = self.registry
 
         active_node = self.active_node
         active_edge = self.active_edge
         active_length = self.active_length
         remainder = self.remainder
-        pos = len(syms) - 1
+        # n is the text length a phase ends with; its new symbol is at n - 1.
+        # A while loop: a one-symbol extend() pays less for it than for range().
+        n = first
+        end = len(syms)
         try:
-            for c in codes:
-                if not 0 <= c < asz:
-                    raise ValueError(
-                        f"symbol {c!r} outside alphabet [0, {asz})")
-                syms.append(c)
-                pos += 1
-                n = pos + 1
+            while n < end:
+                c = syms[n]
+                n += 1
                 remainder += 1
                 last_new = NIL
                 while remainder > 0:
                     if active_length == 0:
-                        active_edge = pos
+                        active_edge = n - 1
                     edge_sym = syms[active_edge]
                     child = child_map[active_node].get(edge_sym)
                     if child is None:
+                        # the whole pending suffix branches off right at the node
                         leaf = len(kind)
                         kind.append(KIND_LEAF)
                         parent.append(active_node)
-                        edge_start.append(pos)
+                        edge_start.append(n - 1)
                         edge_end.append(NIL)
                         depth_arr.append(0)
                         slink_arr.append(NIL)
@@ -132,8 +138,10 @@ class OnlineBuilder:
                         wlink_map.append(None)
                         child_map[active_node][edge_sym] = leaf
                         if reg is not None:
-                            reg_leaf(leaf, active_node, pos - remainder + 1)
+                            reg.leaf_added(leaf, active_node, n - remainder)
                         if last_new != NIL:
+                            # str(last_new) = x str(active_node): the suffix
+                            # link is mirrored as the Weiner link on x
                             slink_arr[last_new] = active_node
                             x = syms[edge_start[last_new]
                                      - depth_arr[parent[last_new]]]
@@ -153,6 +161,7 @@ class OnlineBuilder:
                             active_node = child
                             continue
                         if syms[es + active_length] == c:
+                            # suffix already present: remember it and stop the phase
                             if last_new != NIL:
                                 slink_arr[last_new] = active_node
                                 x = syms[edge_start[last_new]
@@ -165,6 +174,7 @@ class OnlineBuilder:
                                 last_new = NIL
                             active_length += 1
                             break
+                        # cut the edge, then hang the new leaf off the cut point
                         nu = len(kind)
                         kind.append(KIND_BRANCH)
                         parent.append(active_node)
@@ -178,11 +188,11 @@ class OnlineBuilder:
                         edge_start[child] = es + active_length
                         parent[child] = nu
                         if reg is not None:
-                            reg_split(child, nu)
+                            reg.edge_split(child, nu)
                         leaf = nu + 1
                         kind.append(KIND_LEAF)
                         parent.append(nu)
-                        edge_start.append(pos)
+                        edge_start.append(n - 1)
                         edge_end.append(NIL)
                         depth_arr.append(0)
                         slink_arr.append(NIL)
@@ -190,7 +200,7 @@ class OnlineBuilder:
                         wlink_map.append(None)
                         child_map[nu][c] = leaf
                         if reg is not None:
-                            reg_leaf(leaf, nu, pos - remainder + 1)
+                            reg.leaf_added(leaf, nu, n - remainder)
                         if last_new != NIL:
                             slink_arr[last_new] = nu
                             x = syms[edge_start[last_new]
@@ -204,188 +214,16 @@ class OnlineBuilder:
                     remainder -= 1
                     if active_node == ROOT and active_length > 0:
                         active_length -= 1
-                        active_edge = pos - remainder + 1
+                        active_edge = n - remainder
                     elif active_node != ROOT:
                         sl = slink_arr[active_node]
                         active_node = sl if sl != NIL else ROOT
                 if reg is not None:
-                    reg_phase(n, c)
-        finally:
-            self.active_node = active_node
-            self.active_edge = active_edge
-            self.active_length = active_length
-            self.remainder = remainder
-        return []
-
-    def seal(self) -> list:
-        """Terminate the text with the sentinel and run its extension.
-
-        Afterwards every suffix has a leaf and the active point rests at
-        the root. Further extends fail at the store."""
-        self.store.seal()
-        return self._extend_tree(self.store.sentinel)
-
-    def active_locus(self) -> Locus:
-        """Canonical locus of the active string (the longest repeated
-        suffix); Locus(0, 0) when it is empty."""
-        if self.active_length == 0:
-            u = self.active_node
-            return Locus(u, self.tree.depth_arr[u])
-        tree = self.tree
-        below = tree.child_map[self.active_node][self.store._symbols[self.active_edge]]
-        return Locus(below, tree.depth_arr[self.active_node] + self.active_length)
-
-    def active_depth(self) -> int:
-        return self.tree.depth_arr[self.active_node] + self.active_length
-
-    # -- update cascade --------------------------------------------------
-
-    def _extend_tree(self, c: int) -> list:
-        tree = self.tree
-        syms = self.store._symbols
-        n = len(syms)
-        pos = n - 1
-        kind = tree.kind
-        parent = tree.parent
-        edge_start = tree.edge_start
-        edge_end = tree.edge_end
-        depth_arr = tree.depth_arr
-        slink_arr = tree.slink_arr
-        child_map = tree.child_map
-        wlink_map = tree.wlink_map
-        reg = self.registry
-        collect = self.collect_events
-        events = [] if collect else _NO_EVENTS
-        if collect:
-            old_locus = (self.active_locus().node, self.active_depth())
-
-        active_node = self.active_node
-        active_edge = self.active_edge
-        active_length = self.active_length
-        remainder = self.remainder + 1
-        last_new = NIL
-
-        while remainder > 0:
-            if active_length == 0:
-                active_edge = pos
-            edge_sym = syms[active_edge]
-            child = child_map[active_node].get(edge_sym)
-            if child is None:
-                # the whole pending suffix branches off right at the node
-                assert active_length == 0
-                leaf = len(kind)
-                kind.append(KIND_LEAF)
-                parent.append(active_node)
-                edge_start.append(pos)
-                edge_end.append(NIL)
-                depth_arr.append(0)
-                slink_arr.append(NIL)
-                child_map.append(None)
-                wlink_map.append(None)
-                child_map[active_node][edge_sym] = leaf
-                j = pos - remainder + 1
-                if reg is not None:
-                    reg.leaf_added(leaf, active_node, j)
-                if collect:
-                    events.append(NewLeaf(leaf, active_node, j + 1))
-                if last_new != NIL:
-                    slink_arr[last_new] = active_node
-                    self._mirror_wlink(active_node, last_new)
-                    if collect:
-                        events.append(SuffixLinkSet(last_new, active_node))
-                    last_new = NIL
-            else:
-                es = edge_start[child]
-                ee = edge_end[child]
-                elen = (n if ee == NIL else ee + 1) - es
-                if active_length >= elen:
-                    active_edge += elen
-                    active_length -= elen
-                    active_node = child
-                    continue
-                if syms[es + active_length] == c:
-                    # suffix already present: remember it and stop the phase
-                    if last_new != NIL:
-                        assert active_length == 0
-                        slink_arr[last_new] = active_node
-                        self._mirror_wlink(active_node, last_new)
-                        if collect:
-                            events.append(SuffixLinkSet(last_new, active_node))
-                        last_new = NIL
-                    active_length += 1
-                    break
-                # cut the edge, then hang the new leaf off the cut point
-                nu = len(kind)
-                kind.append(KIND_BRANCH)
-                parent.append(active_node)
-                edge_start.append(es)
-                edge_end.append(es + active_length - 1)
-                depth_arr.append(depth_arr[active_node] + active_length)
-                slink_arr.append(NIL)
-                child_map.append({syms[es + active_length]: child})
-                wlink_map.append(None)
-                child_map[active_node][edge_sym] = nu
-                edge_start[child] = es + active_length
-                parent[child] = nu
-                if reg is not None:
-                    reg.edge_split(child, nu)
-                if collect:
-                    events.append(EdgeSplit(child, nu))
-                leaf = len(kind)
-                kind.append(KIND_LEAF)
-                parent.append(nu)
-                edge_start.append(pos)
-                edge_end.append(NIL)
-                depth_arr.append(0)
-                slink_arr.append(NIL)
-                child_map.append(None)
-                wlink_map.append(None)
-                child_map[nu][c] = leaf
-                j = pos - remainder + 1
-                if reg is not None:
-                    reg.leaf_added(leaf, nu, j)
-                if collect:
-                    events.append(NewLeaf(leaf, nu, j + 1))
-                if last_new != NIL:
-                    slink_arr[last_new] = nu
-                    self._mirror_wlink(nu, last_new)
-                    if collect:
-                        events.append(SuffixLinkSet(last_new, nu))
-                last_new = nu
-            remainder -= 1
-            if active_node == ROOT and active_length > 0:
-                active_length -= 1
-                active_edge = pos - remainder + 1
-            elif active_node != ROOT:
-                sl = slink_arr[active_node]
-                active_node = sl if sl != NIL else ROOT
-
+                    reg.phase_ended(n, c)
+        except BaseException as exc:
+            self._failure = exc
+            raise
         self.active_node = active_node
         self.active_edge = active_edge
         self.active_length = active_length
         self.remainder = remainder
-        if collect:
-            events.append(ActiveMoved(old_locus,
-                                      (self.active_locus().node, self.active_depth())))
-        if reg is not None:
-            reg.phase_ended(n, c)
-        return events
-
-    def _mirror_wlink(self, target: int, source: int) -> None:
-        # slink(source) = target just got set, so str(source) = x str(target)
-        tree = self.tree
-        x = self.store._symbols[tree.edge_start[source]
-                                - tree.depth_arr[tree.parent[source]]]
-        wm = tree.wlink_map[target]
-        if wm is None:
-            tree.wlink_map[target] = {x: source}
-        else:
-            wm[x] = source
-
-
-class _FrozenEvents(list):
-    def append(self, item):  # pragma: no cover
-        raise RuntimeError("event collection is disabled")
-
-
-_NO_EVENTS = _FrozenEvents()

@@ -102,8 +102,15 @@ class SuffixTree:
             return self.depth_arr[self.parent[u]] + len(self.store) - self.edge_start[u]
         return self.depth_arr[u]
 
+    # Leftmost because Ukkonen creates leaves in increasing suffix-start
+    # order and a split keeps the older edge's alignment (the new node
+    # takes the cut edge's start). So u's edge still aligns with the first
+    # leaf whose path spelled str(u), and every later leaf below u starts
+    # further right. An occurrence without a leaf (a repeated suffix of the
+    # unsealed text) also occurs earlier, so the minimum over all
+    # occurrences is the same.
     def start(self, u: int) -> int:
-        """1-based text position of one occurrence of str(u).
+        """1-based text position of the leftmost occurrence of str(u).
 
         Derived from the incoming edge: the edge label was cut from a
         concrete occurrence, and the prefix above it aligns with the
@@ -211,33 +218,6 @@ class SuffixTree:
             else:
                 stack.extend(child_map[v].values())
         return total
-
-    def min_suffix_starts(self) -> list[int]:
-        """Per-node smallest suffix start below (or at) each node, 1-based.
-
-        Gives the leftmost occurrence start of str(u) for every node u.
-        Two O(arena) passes. Node ids are not topological (splits allocate
-        parents after children), so the fold runs over reverse BFS order.
-        """
-        parent = self.parent
-        edge_start = self.edge_start
-        depth_arr = self.depth_arr
-        child_map = self.child_map
-        order = [ROOT]
-        for u in order:  # grows while iterating: plain BFS
-            cm = child_map[u]
-            if cm:
-                order.extend(cm.values())
-        big = len(self.store._symbols) + 2
-        out = [es - depth_arr[p] + 1 if k == KIND_LEAF else big
-               for k, p, es in zip(self.kind, parent, edge_start)]
-        for u in reversed(order):
-            if u:  # root pushes nowhere
-                ou = out[u]
-                p = parent[u]
-                if ou < out[p]:
-                    out[p] = ou
-        return out
 
     # -- serialization -----------------------------------------------------
 

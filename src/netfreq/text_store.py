@@ -50,6 +50,17 @@ class TextStore:
         self._symbols.append(c)
         return len(self._symbols)
 
+    def extend(self, codes: tuple[int, ...]) -> None:
+        """Append a batch of symbols, all or none: a symbol outside the
+        alphabet rejects the batch before any of it is appended."""
+        if self.sealed:
+            raise ValueError("store is sealed")
+        asz = self.alphabet_size
+        if codes and not (0 <= min(codes) and max(codes) < asz):
+            c = next(c for c in codes if not 0 <= c < asz)
+            raise ValueError(f"symbol {c!r} outside alphabet [0, {asz})")
+        self._symbols.extend(codes)
+
     def seal(self) -> int:
         """Append the sentinel and freeze the store; returns its position."""
         if self.sealed:

@@ -15,8 +15,8 @@ from netfreq import (
 ROOT = 0
 
 
-def live(text, paranoid=False):
-    ix = NetFrequencyIndex(paranoid=paranoid)
+def live(text):
+    ix = NetFrequencyIndex()
     ix.extend_text(text)
     return ix
 
@@ -152,15 +152,15 @@ def test_invariants_hold_after_every_extension():
             check_invariants(ix, text[:k + 1])
 
 
-def test_paranoid_mode_self_checks():
+def test_verify_after_every_extension():
     rng = random.Random(29)
     for _ in range(8):
         n = rng.randrange(1, 60)
         text = bytes(rng.randrange(2) + 97 for _ in range(n))
-        ix = NetFrequencyIndex(paranoid=True)
+        ix = NetFrequencyIndex()
         for c in text:
-            ix.extend(c)  # verify() runs inside on every extension
-        ix.registry.verify(ix.active_depth())
+            ix.extend(c)
+            ix.registry.verify(ix.active_depth())
 
 
 def test_recompute_matches_incremental_records():

@@ -1,23 +1,22 @@
-"""Construction paths: per-symbol vs bulk, event collection, sealing."""
+"""Construction paths: per-symbol vs bulk, observer hooks, sealing."""
 
 import random
 
 import pytest
 
 from netfreq import (
-    ActiveMoved,
-    EdgeSplit,
     ImplicitRegistry,
     NetFrequencyIndex,
-    NewLeaf,
     OnlineBuilder,
-    SuffixTree,
     TextStore,
+    oracle_nf,
 )
 
+HOOKS = ("leaf_added", "edge_split", "phase_ended")
 
-def fresh(collect_events=False, paranoid=False):
-    return NetFrequencyIndex(collect_events=collect_events, paranoid=paranoid)
+
+def fresh():
+    return NetFrequencyIndex()
 
 
 def tree_state(ix):
@@ -66,43 +65,107 @@ def test_mixed_bulk_segments_agree_with_per_symbol():
         assert tree_state(a) == tree_state(b)
 
 
+class Forwarder:
+    """Test-local observer: passes each hook call on to a target."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def leaf_added(self, leaf, parent, j):
+        self.target.leaf_added(leaf, parent, j)
+
+    def edge_split(self, old_child, new_node):
+        self.target.edge_split(old_child, new_node)
+
+    def phase_ended(self, n, c):
+        self.target.phase_ended(n, c)
+
+
 def test_event_stream_replays_into_equal_registry():
     rng = random.Random(9)
     for _ in range(25):
         n = rng.randrange(1, 80)
         text = bytes(rng.randrange(2) + 97 for _ in range(n))
-        ix = fresh(collect_events=True)
-        shadow = ImplicitRegistry(ix.tree.store, ix.tree)
+        builder = OnlineBuilder(TextStore())
+        shadow = ImplicitRegistry(builder.store, builder.tree)
+        builder.registry = Forwarder(shadow)
+        ix = fresh()
         for c in text:
-            for ev in ix.extend(c):
-                shadow.on_event(ev)
+            builder.extend(c)
+            ix.extend(c)
         ix.registry._sync()
         shadow._sync()
         assert ix.registry._member_node == shadow._member_node
         assert ix.registry._edge_members == shadow._edge_members
 
 
+class Recorder:
+    """Checks each hook call's fields against the tree as it is called."""
+
+    def __init__(self, builder, text):
+        self.tree = builder.tree
+        self.text = text
+        self.seen = set()
+        self.phases = 0
+
+    def leaf_added(self, leaf, parent, j):
+        self.seen.add("leaf_added")
+        assert self.tree.is_leaf(leaf)
+        assert self.tree.parent_of(leaf) == parent
+        assert j >= 0
+
+    def edge_split(self, old_child, new_node):
+        self.seen.add("edge_split")
+        assert self.tree.parent_of(old_child) == new_node
+        assert self.tree.is_branching(new_node)
+
+    def phase_ended(self, n, c):
+        self.seen.add("phase_ended")
+        self.phases += 1
+        assert n == self.phases
+        assert c == self.text[n - 1]
+
+
 def test_event_types_carry_usable_fields():
-    ix = fresh(collect_events=True)
-    seen = set()
-    for c in b"aabaabab":
-        for ev in ix.extend(c):
-            seen.add(type(ev).__name__)
-            if isinstance(ev, NewLeaf):
-                assert ix.tree.is_leaf(ev.leaf)
-                assert ev.suffix_start >= 1
-            elif isinstance(ev, EdgeSplit):
-                assert ix.tree.parent_of(ev.old_child) == ev.new_node
-            elif isinstance(ev, ActiveMoved):
-                node, d = ev.new
-                assert d >= 0 and node >= 0
-    assert {"NewLeaf", "EdgeSplit", "ActiveMoved", "SuffixLinkSet"} <= seen
+    text = b"aabaabab"
+    for bulk in (False, True):
+        builder = OnlineBuilder(TextStore())
+        rec = builder.registry = Recorder(builder, text)
+        if bulk:
+            builder.extend_text(text)
+        else:
+            for c in text:
+                builder.extend(c)
+        assert rec.seen == set(HOOKS)
+        assert rec.phases == len(text)
 
 
-def test_default_build_returns_no_events():
+def test_hooks_wrapped_on_the_registry_instance_see_every_call():
+    # tooling wraps the hooks on a built index's registry instance; a
+    # builder that cached the bound methods earlier would bypass them
     ix = fresh()
-    assert ix.extend(ord("a")) == []
-    assert ix.extend_text(b"ab") == []
+    ix.extend_text(b"ab")  # two leaves, no split, two phases
+    calls = dict.fromkeys(HOOKS, 0)
+
+    def counted(name, fn):
+        def hook(*args):
+            calls[name] += 1
+            return fn(*args)
+        return hook
+
+    for name in HOOKS:
+        setattr(ix.registry, name, counted(name, getattr(ix.registry, name)))
+    ix.extend(ord("a"))
+    assert calls["phase_ended"] == 1
+    ix.extend_text(b"abaababa")
+    assert calls["phase_ended"] == 9
+    ix.extend(ord("b"))
+    assert calls["phase_ended"] == 10
+    ix.seal()
+    assert calls == {"leaf_added": ix.tree.leaf_count() - 2,
+                     "edge_split": ix.tree.branching_count(),
+                     "phase_ended": len(ix) - 2}
+    ix.registry.verify(ix.active_depth())
 
 
 def test_remainder_equals_active_depth_between_phases():
@@ -141,6 +204,36 @@ def test_builder_rejects_symbols_outside_alphabet():
         ix.extend(2)
     with pytest.raises(ValueError):
         ix.extend_text([0, 1, 5])
+    # the batch is rejected whole, and the index stays usable
+    assert len(ix) == 2
+    ix.extend_text([0, 1])
+    assert ix.single_nf([0, 1]) == oracle_nf([0, 1, 0, 1], [0, 1]) == 2
+
+
+class HookFailure(Exception):
+    pass
+
+
+def test_failure_mid_phase_leaves_the_index_unusable():
+    ix = fresh()
+    leaf_added = ix.registry.leaf_added
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise HookFailure("fifth leaf")
+        return leaf_added(*args)
+
+    ix.registry.leaf_added = failing
+    with pytest.raises(HookFailure):
+        ix.extend_text(b"abcabxabcd")
+    for op in (lambda: ix.extend(ord("a")), lambda: ix.extend_text(b"ab"),
+               ix.seal, lambda: ix.single_nf(b"ab"), ix.all_nf):
+        with pytest.raises(RuntimeError) as err:
+            op()
+        assert isinstance(err.value.__cause__, HookFailure)
+    assert len(calls) == 5
 
 
 def test_every_branching_node_gets_a_suffix_link():

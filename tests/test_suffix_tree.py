@@ -6,6 +6,7 @@ import pytest
 
 from netfreq import (
     NetFrequencyIndex,
+    OnlineBuilder,
     SuffixTree,
     TextStore,
     as_symbols,
@@ -111,27 +112,47 @@ def test_subtree_leaf_count_equals_frequency():
             assert tree.subtree_leaf_count(loc.node) == f
 
 
-def test_min_suffix_starts_against_brute_force():
+def _check_starts_are_leftmost(tree):
+    # str(u) spelled from the edge labels on its root path, so it does
+    # not depend on the start() arithmetic under test
+    text = bytes(tree.store._symbols)
+    spelled = {ROOT: b""}
+    stack = [ROOT]
+    while stack:
+        u = stack.pop()
+        for _y, v in tree.children(u):
+            s, e = tree.edge_span(v)
+            spelled[v] = spelled[u] + text[s - 1:e]
+            stack.append(v)
+    assert len(spelled) == tree.node_count()
+    for u in range(1, tree.node_count()):
+        assert tree.start(u) == text.find(spelled[u]) + 1, (text, u)
+
+
+def _texts_for_leftmost_starts():
+    for n in range(1, 11):
+        for bits in range(1 << n):
+            yield 2, [(bits >> k) & 1 for k in range(n)]
     rng = random.Random(7)
-    for trial in range(40):
-        n = rng.randrange(1, 60)
-        text = bytes(rng.randrange(3) + 97 for _ in range(n))
-        tree = build(text, sealed=trial % 2 == 0)
-        starts = tree.min_suffix_starts()
-        for u in range(tree.node_count()):
-            leaves = [v for v in range(tree.node_count())
-                      if tree.is_leaf(v) and _has_ancestor(tree, v, u)]
-            if leaves:
-                assert starts[u] == min(tree.suffix_start(v) for v in leaves)
+    for sigma in (2, 3, 4, 26):
+        for _ in range(25):
+            yield sigma, [rng.randrange(sigma) for _ in range(rng.randrange(1, 200))]
+    for k in (1, 2, 5, 40, 150):
+        yield 2, [0] * k + [1]
+        yield 3, [0] * k + [1] * k + [0] * k
+    for period in range(1, 9):
+        block = [rng.randrange(4) for _ in range(period)]
+        yield 4, (block * (160 // period + 1))[:160]
+        yield 4, block * 6 + [rng.randrange(4)] + block * 6
 
 
-def _has_ancestor(tree, v, u):
-    while True:
-        if v == u:
-            return True
-        if v == ROOT:
-            return False
-        v = tree.parent_of(v)
+def test_start_is_the_leftmost_occurrence():
+    for sigma, text in _texts_for_leftmost_starts():
+        builder = OnlineBuilder(TextStore(sigma))
+        builder.extend_text(text)
+        _check_starts_are_leftmost(builder.tree)
+        builder.seal()
+        _check_starts_are_leftmost(builder.tree)
 
 
 def test_canonical_form_matches_naive_construction():
