@@ -14,14 +14,12 @@ from .implicit_registry import (
 )
 from .index import NetFrequencyIndex
 from .nf_offline import (
-    NfBreakdown,
     NfReport,
     offline_all_nf,
     offline_single_nf,
     offline_single_nf_breakdown,
 )
 from .nf_online import (
-    ImplicitWeinerTarget,
     implicit_weiner_links,
     online_all_nf,
     online_single_nf,
@@ -44,10 +42,8 @@ __all__ = [
     "CLASS_EXTERNAL",
     "CLASS_INTERNAL",
     "ImplicitRegistry",
-    "ImplicitWeinerTarget",
     "Locus",
     "NetFrequencyIndex",
-    "NfBreakdown",
     "NfReport",
     "Occurrence",
     "OnlineBuilder",

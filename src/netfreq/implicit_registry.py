@@ -21,8 +21,8 @@ query after a burst of extensions.
 Neither construction nor sync is constant time per event. edge_split
 re-points every member of the moved group and leaf_added pops a group
 head off the front of a list, both O(group size). _sync visits every
-member, and once any record moved it rebuilds the edge lists by sorting
-all members. On runs (a^k then b) and short-period text both costs grow
+member, and once any record moved it rebuilds the edge lists from all
+members. On runs (a^k then b) and short-period text both costs grow
 quadratically with the text.
 """
 
@@ -45,10 +45,11 @@ class ImplicitRegistry:
     State:
       _member_node: suffix start (0-based) -> recorded node, an edge
           child on the member's path; exact after _sync, possibly a
-          trailing ancestor between queries
+          trailing ancestor between queries. Kept in ascending start
+          order: a new member has the largest start, a dropped one the
+          smallest, and every other write reassigns an existing key
       _edge_members: recorded node -> suffix starts ascending (deepest
           first), the inverse of _member_node
-      _seen: symbol codes that occurred at least once
       _synced_at: text length the records were last advanced for
 
     verify() checks the state against a from-scratch recomputation; it is
@@ -60,11 +61,11 @@ class ImplicitRegistry:
         self.tree = tree
         self._member_node: dict[int, int] = {}
         self._edge_members: dict[int, list[int]] = {}
-        self._seen: set[int] = set()
         self._synced_at = 0
         # stable list identities, cached off the hot path
         self._syms = store._symbols
         self._kind = tree.kind
+        self._edge_start = tree.edge_start
         self._depth = tree.depth_arr
         self._children = tree.child_map
 
@@ -103,20 +104,20 @@ class ImplicitRegistry:
         """All extensions for symbol c, which made the text n long, are
         done. The only exact bookkeeping left is the birth of the length-1
         member: the new suffix c is repeated iff c occurred before, and its
-        locus starts on the edge into the root's c-child. Its start n - 1
-        is the largest alive, so appending keeps the group ascending."""
-        seen = self._seen
-        if c in seen:
-            p = n - 1
-            v = self._children[ROOT][c]
+        locus starts on the edge into the root's c-child. That edge starts
+        at the first occurrence of c (splits keep the upper part's start),
+        so it starts before n - 1 exactly when c is not new. The start
+        n - 1 is the largest alive, so appending keeps the group
+        ascending."""
+        p = n - 1
+        v = self._children[ROOT][c]
+        if self._edge_start[v] < p:
             self._member_node[p] = v
             edge_members = self._edge_members
             if v in edge_members:
                 edge_members[v].append(p)
             else:
                 edge_members[v] = [p]
-        else:
-            seen.add(c)
 
     def _sync(self) -> None:
         """Advance every recorded node past the boundaries its member's
@@ -125,7 +126,7 @@ class ImplicitRegistry:
         lands exactly; records on leaf edges never move again (open ends
         deepen with the text). The walks are proportional to the crossings
         being resolved, but the scan visits every member and, if any record
-        moved, the edge lists are rebuilt by sorting all members."""
+        moved, the edge lists are rebuilt from all members in start order."""
         n = len(self._syms)
         if self._synced_at == n:
             return
@@ -154,8 +155,7 @@ class ImplicitRegistry:
         if moved:
             edge_members = self._edge_members
             edge_members.clear()
-            for p in sorted(member_node):
-                u = member_node[p]
+            for p, u in member_node.items():
                 if u in edge_members:
                     edge_members[u].append(p)
                 else:
@@ -241,8 +241,7 @@ class ImplicitRegistry:
         n = len(self.store)
         tree = self.tree
         out = []
-        for p in sorted(self._member_node):
-            u = self._member_node[p]
+        for p, u in self._member_node.items():
             d = n - p
             if tree.kind[u] == KIND_LEAF:
                 cls = CLASS_EXTERNAL
@@ -262,8 +261,7 @@ class ImplicitRegistry:
         tree = self.tree
         kind = tree.kind
         depth_arr = tree.depth_arr
-        for p in sorted(self._member_node):
-            u = self._member_node[p]
+        for p, u in self._member_node.items():
             if kind[u] == KIND_BRANCH and n - p == depth_arr[u]:
                 return (u, n - p)
         return None

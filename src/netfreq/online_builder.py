@@ -10,6 +10,8 @@ phase_ended(n, c).
 
 from __future__ import annotations
 
+from operator import index
+
 from .suffix_tree import KIND_BRANCH, KIND_LEAF, NIL, ROOT, Locus, SuffixTree
 from .text_store import TextStore, as_symbols
 
@@ -44,11 +46,14 @@ class OnlineBuilder:
     # -- public surface ------------------------------------------------
 
     def extend(self, symbol) -> None:
-        """Append one symbol and update the tree."""
-        code = ord(symbol) if isinstance(symbol, str) else symbol
+        """Append one symbol and update the tree. A one-character str
+        stands for its code point; anything else must be an int (see
+        as_symbols), or TypeError is raised before anything is appended."""
+        if type(symbol) is not int:
+            symbol = ord(symbol) if isinstance(symbol, str) else index(symbol)
         if self._failure is not None:  # ensure_usable(), inlined on the hot path
             self.ensure_usable()
-        self._phases(self.store.append(code) - 1)
+        self._phases(self.store.append(symbol) - 1)
 
     def extend_text(self, text) -> None:
         """Append every symbol of text. Same effect as repeated extend();
@@ -93,13 +98,18 @@ class OnlineBuilder:
         """Run one Ukkonen phase for every store position from first on
         (0-based). The active point is written back only after the last
         phase; an exception escaping any phase marks the builder unusable
-        instead, since the tree may then hold half of a phase."""
+        instead, since the tree may then hold half of a phase.
+
+        Each extension picks `here`, the node the new leaf hangs from: the
+        active node when its edge is missing, the node cut into the edge
+        on a mismatch, or NIL when the suffix is already present (rule 3,
+        which ends the phase). Leaves keep depth 0, so an edge into a node
+        of depth 0 is an open leaf edge ending at n."""
         syms = self.store._symbols
         tree = self.tree
         kind = tree.kind
         parent = tree.parent
         edge_start = tree.edge_start
-        edge_end = tree.edge_end
         depth_arr = tree.depth_arr
         slink_arr = tree.slink_arr
         child_map = tree.child_map
@@ -126,91 +136,64 @@ class OnlineBuilder:
                     edge_sym = syms[active_edge]
                     child = child_map[active_node].get(edge_sym)
                     if child is None:
-                        # the whole pending suffix branches off right at the node
-                        leaf = len(kind)
-                        kind.append(KIND_LEAF)
-                        parent.append(active_node)
-                        edge_start.append(n - 1)
-                        edge_end.append(NIL)
-                        depth_arr.append(0)
-                        slink_arr.append(NIL)
-                        child_map.append(None)
-                        wlink_map.append(None)
-                        child_map[active_node][edge_sym] = leaf
-                        if reg is not None:
-                            reg.leaf_added(leaf, active_node, n - remainder)
-                        if last_new != NIL:
-                            # str(last_new) = x str(active_node): the suffix
-                            # link is mirrored as the Weiner link on x
-                            slink_arr[last_new] = active_node
-                            x = syms[edge_start[last_new]
-                                     - depth_arr[parent[last_new]]]
-                            wm = wlink_map[active_node]
-                            if wm is None:
-                                wlink_map[active_node] = {x: last_new}
-                            else:
-                                wm[x] = last_new
-                            last_new = NIL
+                        # the whole pending suffix (then just c) branches
+                        # off right at the node
+                        here = active_node
                     else:
                         es = edge_start[child]
-                        ee = edge_end[child]
-                        elen = (n if ee == NIL else ee + 1) - es
+                        dc = depth_arr[child]
+                        elen = dc - depth_arr[active_node] if dc else n - es
                         if active_length >= elen:
                             active_edge += elen
                             active_length -= elen
                             active_node = child
                             continue
                         if syms[es + active_length] == c:
-                            # suffix already present: remember it and stop the phase
-                            if last_new != NIL:
-                                slink_arr[last_new] = active_node
-                                x = syms[edge_start[last_new]
-                                         - depth_arr[parent[last_new]]]
-                                wm = wlink_map[active_node]
-                                if wm is None:
-                                    wlink_map[active_node] = {x: last_new}
-                                else:
-                                    wm[x] = last_new
-                                last_new = NIL
-                            active_length += 1
-                            break
-                        # cut the edge, then hang the new leaf off the cut point
-                        nu = len(kind)
-                        kind.append(KIND_BRANCH)
-                        parent.append(active_node)
-                        edge_start.append(es)
-                        edge_end.append(es + active_length - 1)
-                        depth_arr.append(depth_arr[active_node] + active_length)
-                        slink_arr.append(NIL)
-                        child_map.append({syms[es + active_length]: child})
-                        wlink_map.append(None)
-                        child_map[active_node][edge_sym] = nu
-                        edge_start[child] = es + active_length
-                        parent[child] = nu
-                        if reg is not None:
-                            reg.edge_split(child, nu)
-                        leaf = nu + 1
+                            here = NIL
+                        else:
+                            # cut the edge at the active point
+                            here = len(kind)
+                            kind.append(KIND_BRANCH)
+                            parent.append(active_node)
+                            edge_start.append(es)
+                            depth_arr.append(depth_arr[active_node] + active_length)
+                            slink_arr.append(NIL)
+                            child_map.append({syms[es + active_length]: child})
+                            wlink_map.append(None)
+                            child_map[active_node][edge_sym] = here
+                            edge_start[child] = es + active_length
+                            parent[child] = here
+                            if reg is not None:
+                                reg.edge_split(child, here)
+                    if here != NIL:
+                        leaf = len(kind)
                         kind.append(KIND_LEAF)
-                        parent.append(nu)
+                        parent.append(here)
                         edge_start.append(n - 1)
-                        edge_end.append(NIL)
                         depth_arr.append(0)
                         slink_arr.append(NIL)
                         child_map.append(None)
                         wlink_map.append(None)
-                        child_map[nu][c] = leaf
+                        child_map[here][c] = leaf
                         if reg is not None:
-                            reg.leaf_added(leaf, nu, n - remainder)
-                        if last_new != NIL:
-                            slink_arr[last_new] = nu
-                            x = syms[edge_start[last_new]
-                                     - depth_arr[parent[last_new]]]
-                            wm = wlink_map[nu]
-                            if wm is None:
-                                wlink_map[nu] = {x: last_new}
-                            else:
-                                wm[x] = last_new
-                        last_new = nu
+                            reg.leaf_added(leaf, here, n - remainder)
+                    if last_new != NIL:
+                        # str(last_new) = x str(target): the suffix link
+                        # is mirrored as the Weiner link on x
+                        target = active_node if here == NIL else here
+                        slink_arr[last_new] = target
+                        x = syms[edge_start[last_new] - depth_arr[parent[last_new]]]
+                        wm = wlink_map[target]
+                        if wm is None:
+                            wlink_map[target] = {x: last_new}
+                        else:
+                            wm[x] = last_new
+                    if here == NIL:
+                        # suffix already present: remember it and stop the phase
+                        active_length += 1
+                        break
+                    # a node just cut into an edge waits for its suffix link
+                    last_new = NIL if here == active_node else here
                     remainder -= 1
                     if active_node == ROOT and active_length > 0:
                         active_length -= 1

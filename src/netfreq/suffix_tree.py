@@ -34,11 +34,12 @@ class SuffixTree:
 
     Node ids are dense ints; id 0 is the root. Per-node data lives in
     parallel lists. Children are per-node dicts keyed by symbol code
-    (None for leaves, which never have children). Leaf edges carry an
-    open end (NIL) that resolves to the current text length.
+    (None for leaves, which never have children). Edge ends are not
+    stored: a branching edge is depth(v) - depth(parent) long, and a leaf
+    edge is open, running to the current text length.
     """
 
-    __slots__ = ("store", "kind", "parent", "edge_start", "edge_end",
+    __slots__ = ("store", "kind", "parent", "edge_start",
                  "depth_arr", "slink_arr", "child_map", "wlink_map")
 
     def __init__(self, store: TextStore):
@@ -46,8 +47,7 @@ class SuffixTree:
         self.kind = bytearray([KIND_ROOT])
         self.parent = [NIL]
         self.edge_start = [NIL]   # 0-based first label position; NIL for root
-        self.edge_end = [NIL]     # 0-based last label position; NIL = open (leaf)
-        self.depth_arr = [0]      # string depth; leaves compute from the open end
+        self.depth_arr = [0]      # string depth; 0 for leaves (open edge)
         self.slink_arr = [NIL]
         self.child_map: list = [{}]     # dict symbol -> node, None for leaves
         self.wlink_map: list = [None]   # dict symbol -> source branching node
@@ -126,8 +126,7 @@ class SuffixTree:
         if u == ROOT:
             raise ValueError("root has no incoming edge")
         s = self.edge_start[u]
-        e = self.edge_end[u]
-        return (s + 1, len(self.store) if e == NIL else e + 1)
+        return (s + 1, s + self.depth(u) - self.depth_arr[self.parent[u]])
 
     def slink(self, u: int) -> int:
         """Suffix link of a branching node."""
@@ -155,20 +154,6 @@ class SuffixTree:
             return None
         return wm.get(x)
 
-    def leaf_child_count(self, u: int) -> int:
-        """Number of children of u that are leaves."""
-        cm = self.child_map[u]
-        if not cm:
-            return 0
-        kind = self.kind
-        return sum(1 for v in cm.values() if kind[v] == KIND_LEAF)
-
-    def suffix_start(self, leaf: int) -> int:
-        """1-based start of the unique suffix a leaf stands for."""
-        if self.kind[leaf] != KIND_LEAF:
-            raise ValueError("not a leaf")
-        return self.edge_start[leaf] - self.depth_arr[self.parent[leaf]] + 1
-
     # -- search ------------------------------------------------------------
 
     def locate(self, s) -> Locus | None:
@@ -183,7 +168,7 @@ class SuffixTree:
         n = len(syms)
         child_map = self.child_map
         edge_start = self.edge_start
-        edge_end = self.edge_end
+        depth_arr = self.depth_arr
         u = ROOT
         d = 0
         i = 0
@@ -193,9 +178,10 @@ class SuffixTree:
             v = None if cm is None else cm.get(q[i])
             if v is None:
                 return None
+            # d is depth(u) here; a leaf (depth 0) has an open edge
             es = edge_start[v]
-            ee = edge_end[v]
-            elen = (n if ee == NIL else ee + 1) - es
+            dv = depth_arr[v]
+            elen = dv - d if dv else n - es
             take = min(elen, m - i)
             if syms[es:es + take] != q[i:i + take]:
                 return None
@@ -254,18 +240,14 @@ class SuffixTree:
         with children in symbol order. Node ids and label positions do not
         appear, so two structurally equal trees compare equal."""
         syms = self.store._symbols
-        n = len(syms)
-        edge_start = self.edge_start
-        edge_end = self.edge_end
         child_map = self.child_map
 
         def form(v: int):
             if v == ROOT:
                 label = ()
             else:
-                es = edge_start[v]
-                ee = edge_end[v]
-                label = tuple(syms[es:(n if ee == NIL else ee + 1)])
+                s, e = self.edge_span(v)
+                label = tuple(syms[s - 1:e])
             cm = child_map[v]
             if not cm:
                 return (label, ())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 
@@ -12,12 +13,16 @@ class Occurrence(NamedTuple):
 
 
 def as_symbols(text) -> tuple[int, ...]:
-    """Coerce str / bytes / int sequence to a tuple of symbol codes."""
+    """Coerce str / bytes / int sequence to a tuple of symbol codes.
+
+    Items of a sequence go through operator.index: ints (bools as the
+    ints they equal) pass, while floats and strings raise TypeError
+    rather than being truncated or parsed."""
     if isinstance(text, str):
         return tuple(ord(ch) for ch in text)
     if isinstance(text, (bytes, bytearray)):
         return tuple(text)
-    return tuple(int(c) for c in text)
+    return tuple(map(index, text))
 
 
 class TextStore:

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, formats, exit codes."""
 
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,14 @@ from netfreq.cli import TABLE_HEADER, escape_bytes, format_table, main
 from netfreq import NetFrequencyIndex
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = str(PYPROJECT.parent / "src")
+
+
+def child_env():
+    """Environment for a child interpreter that imports this checkout's
+    netfreq whether or not the package is installed."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + os.pathsep + path if path else SRC}
 
 
 def run_main(argv, stdin_bytes=b""):
@@ -177,7 +186,7 @@ def test_console_script_entry_point(tmp_path):
     args = ["offline", "--input", str(p), "--query", "abaa"]
     proc = subprocess.run(
         [sys.executable, "-m", "netfreq.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "2\n", proc.stderr
@@ -187,7 +196,7 @@ def test_console_script_entry_point(tmp_path):
     assert sep and module and attr, scripts["netfreq"]
     proc2 = subprocess.run(
         [sys.executable, "-c", WRAPPER, module.strip(), attr.strip(), *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc2.returncode == 0, proc2.stderr
     assert proc2.stdout == "2\n", proc2.stderr
@@ -210,7 +219,7 @@ def test_stream_subprocess_round_trip():
     proc = subprocess.run(
         [sys.executable, "-m", "netfreq.cli", "stream"],
         input=b"+aabaabababaa\n? abaa\n#\n",
-        capture_output=True,
+        capture_output=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"2\nn=12 active_depth=4 nodes=15\n", proc.stderr

@@ -9,6 +9,7 @@ from netfreq import (
     NetFrequencyIndex,
     OnlineBuilder,
     TextStore,
+    oracle_all_nf,
     oracle_nf,
 )
 
@@ -23,7 +24,8 @@ def tree_state(ix):
     t = ix.tree
     b = ix.builder
     return (
-        list(t.kind), list(t.parent), list(t.edge_start), list(t.edge_end),
+        list(t.kind), list(t.parent), list(t.edge_start),
+        [t.edge_span(u) for u in range(1, t.node_count())],
         list(t.depth_arr), list(t.slink_arr),
         [dict(m) if m else None for m in t.child_map],
         [dict(m) if m else None for m in t.wlink_map],
@@ -208,6 +210,29 @@ def test_builder_rejects_symbols_outside_alphabet():
     assert len(ix) == 2
     ix.extend_text([0, 1])
     assert ix.single_nf([0, 1]) == oracle_nf([0, 1, 0, 1], [0, 1]) == 2
+
+
+def test_builder_rejects_non_integer_symbols():
+    ix = NetFrequencyIndex(alphabet_size=4)
+    ix.extend(1)
+    ix.extend(True)  # a bool is stored as the int it equals
+    with pytest.raises(TypeError):
+        ix.extend(1.5)
+    with pytest.raises(TypeError):
+        ix.extend_text([0, 1.7, 2])
+    with pytest.raises(TypeError):
+        ix.extend_text(["1", "2"])
+    with pytest.raises(TypeError):
+        ix.single_nf([1.5])
+    # nothing of a rejected symbol or batch was appended
+    assert len(ix) == 2
+    assert [type(c) for c in ix.store._symbols] == [int, int]
+    ix.extend_text([0, 1, 1])
+    text = [1, 1, 0, 1, 1]
+    assert ix.single_nf([1, 1]) == oracle_nf(text, [1, 1])
+    ix.seal()
+    rows = {(tuple(text[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in ix.all_nf()}
+    assert rows == set(map(tuple, oracle_all_nf(text, sealed=True)))
 
 
 class HookFailure(Exception):

@@ -1,5 +1,6 @@
 """Tree navigation, sealing, link reciprocity, and canonical-form checks."""
 
+import itertools
 import random
 
 import pytest
@@ -48,6 +49,28 @@ def test_locate_walks_edges_and_reports_depth():
     assert tree.locate(b"abz") is None
     with pytest.raises(ValueError):
         tree.locate(b"")
+
+
+def test_locate_matches_brute_force():
+    # every string of length <= 4 over the text's symbols plus one absent
+    # symbol, so mismatches fall inside open leaf edges and branching edges
+    rng = random.Random(23)
+    for _ in range(40):
+        sigma = rng.choice((2, 3, 4))
+        text = bytes(rng.randrange(sigma) + 97 for _ in range(rng.randrange(1, 40)))
+        symbols = sorted(set(text)) + [ord("z")]
+        queries = [bytes(q) for k in range(1, 5)
+                   for q in itertools.product(symbols, repeat=k)]
+        for sealed in (False, True):
+            tree = build(text, sealed)
+            for q in queries:
+                loc = tree.locate(q)
+                if q not in text:
+                    assert loc is None, (text, q)
+                    continue
+                assert loc is not None and loc.d == len(q), (text, q)
+                i = tree.start(loc.node)
+                assert text[i - 1:i - 1 + len(q)] == q, (text, q)
 
 
 def test_edge_labels_and_depths_are_consistent():
