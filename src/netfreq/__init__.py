@@ -13,14 +13,12 @@ from .implicit_registry import (
     ImplicitRegistry,
 )
 from .index import NetFrequencyIndex
-from .nf_offline import (
+from .nf_query import (
     NfReport,
+    implicit_weiner_links,
     offline_all_nf,
     offline_single_nf,
     offline_single_nf_breakdown,
-)
-from .nf_online import (
-    implicit_weiner_links,
     online_all_nf,
     online_single_nf,
     rho,

@@ -18,7 +18,7 @@ import sys
 import time
 
 from .index import NetFrequencyIndex
-from .nf_offline import NfReport
+from .nf_query import NfReport
 
 TABLE_HEADER = "start\tend\tnf\tstring"
 

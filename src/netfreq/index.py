@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from .implicit_registry import ImplicitRegistry
-from .nf_offline import NfReport, offline_all_nf, offline_single_nf
-from .nf_online import online_all_nf, online_single_nf
+from .nf_query import NfReport, online_all_nf, online_single_nf
 from .online_builder import OnlineBuilder
 from .suffix_tree import Locus
 from .text_store import TextStore
@@ -47,15 +46,11 @@ class NetFrequencyIndex:
     def single_nf(self, s) -> int:
         """Net frequency of s against the current text."""
         self.builder.ensure_usable()
-        if self.store.sealed:
-            return offline_single_nf(self.tree, s)
         return online_single_nf(self.builder, self.registry, s)
 
     def all_nf(self) -> list[NfReport]:
         """All strings of positive net frequency, ascending by occurrence."""
         self.builder.ensure_usable()
-        if self.store.sealed:
-            return offline_all_nf(self.tree)
         return online_all_nf(self.builder, self.registry)
 
     def active_locus(self) -> Locus:

@@ -7,6 +7,7 @@ frequency code; that separation is the whole point.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 # Oracle-internal end marker appended in sealed mode. Negative, so it can
@@ -19,7 +20,7 @@ def _codes(text) -> tuple[int, ...]:
         return tuple(ord(ch) for ch in text)
     if isinstance(text, (bytes, bytearray)):
         return tuple(text)
-    return tuple(int(c) for c in text)
+    return tuple(map(index, text))
 
 
 def _count(t: tuple, s: tuple) -> int:

@@ -47,19 +47,24 @@ class TextStore:
         return len(self._symbols)
 
     def append(self, c: int) -> int:
-        """Append one symbol, returning its 1-based position."""
+        """Append one symbol, returning its 1-based position. The symbol
+        goes through operator.index, as in as_symbols."""
         if self.sealed:
             raise ValueError("store is sealed")
+        if type(c) is not int:
+            c = index(c)
         if not 0 <= c < self.alphabet_size:
             raise ValueError(f"symbol {c!r} outside alphabet [0, {self.alphabet_size})")
         self._symbols.append(c)
         return len(self._symbols)
 
     def extend(self, codes: tuple[int, ...]) -> None:
-        """Append a batch of symbols, all or none: a symbol outside the
-        alphabet rejects the batch before any of it is appended."""
+        """Append a batch of symbols, all or none: a symbol that is not an
+        integer (TypeError) or lies outside the alphabet (ValueError)
+        rejects the batch before any of it is appended."""
         if self.sealed:
             raise ValueError("store is sealed")
+        codes = list(map(index, codes))
         asz = self.alphabet_size
         if codes and not (0 <= min(codes) and max(codes) < asz):
             c = next(c for c in codes if not 0 <= c < asz)

@@ -13,6 +13,8 @@ import random
 import statistics
 import time
 
+import pytest
+
 from netfreq import (
     NetFrequencyIndex,
     naive_implicit_tree,
@@ -244,6 +246,7 @@ def _run_bench(n, seed):
     return wall, int(fields[3]), int(fields[4]), int(fields[5])
 
 
+@pytest.mark.slow
 def test_criterion_6_scaling_bench():
     def body():
         sizes = (1 << 20, 1 << 21, 1 << 22)

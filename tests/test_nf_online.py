@@ -6,6 +6,7 @@ on a branching node, and "abbaba" needs the subtraction step to check the
 right-hand side as well as the left before discounting an occurrence.
 """
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,8 @@ from netfreq import (
     Locus,
     NetFrequencyIndex,
     implicit_weiner_links,
+    offline_all_nf,
+    offline_single_nf,
     online_all_nf,
     online_single_nf,
     oracle_all_nf,
@@ -174,3 +177,37 @@ def test_property_positive_count_bounded_by_length(text):
     text = bytes(c % 2 + 97 for c in text)
     ix = live(text)
     assert len(online_all_nf(ix.builder, ix.registry)) <= len(text)
+
+
+def test_all_matches_oracle_on_every_ternary_text():
+    # every text over {a,b,c} up to length 8, left unsealed; the shortest
+    # one that needs the Weiner-source give-back of a loaded leaf edge is
+    # "aaabacab" (without it, "a" with nf 1 goes unreported)
+    for n in range(1, 9):
+        for tup in itertools.product(b"abc", repeat=n):
+            text = bytes(tup)
+            rows = live(text).all_nf()
+            got = {(tuple(text[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
+            assert got == set(map(tuple, oracle_all_nf(text))), text
+
+
+def test_online_entry_points_answer_sealed_indexes():
+    # a sealed index is the live case with no members: the online
+    # functions must give the offline answers, including on texts where
+    # nothing is positive
+    texts = (b"ab", b"abcdef", b"a", b"aaaa", b"aabaabababaa", b"rstkstcastarstast",
+             b"abbaba", b"aaabacab")
+    for text in texts:
+        ix = live(text)
+        ix.seal()
+        rows = online_all_nf(ix.builder, ix.registry)
+        assert rows == offline_all_nf(ix.tree) == ix.all_nf()
+        got = {(tuple(text[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
+        assert got == set(map(tuple, oracle_all_nf(text, sealed=True)))
+        subs = {text[i:j] for i in range(len(text)) for j in range(i + 1, len(text) + 1)}
+        for s in subs | {b"z"}:
+            value = query(ix, s)
+            assert value == offline_single_nf(ix.tree, s) == ix.single_nf(s)
+            assert value == oracle_nf(text, s, sealed=True), (text, s)
+        if text in (b"ab", b"abcdef", b"a"):
+            assert rows == []

@@ -4,6 +4,8 @@ The oracles arbitrate every differential test in the suite, so their own
 values are pinned here by hand before anything else relies on them.
 """
 
+import pytest
+
 from netfreq import naive_implicit_tree, oracle_all_nf, oracle_nf, oracle_repeated_suffixes
 
 
@@ -81,3 +83,15 @@ def test_naive_tree_shapes():
     root = naive_implicit_tree("aabaabababaa")
     assert root[0] == ()
     assert len(root[1]) == 2  # first symbols a and b
+
+
+def test_non_integer_symbols_are_rejected_not_truncated():
+    # int() would read [0, 1.5] as [0, 1]; the index raises on the same
+    # text, so a differential test must never see two different texts
+    assert oracle_nf([0, 1, 0, 1], [True]) == oracle_nf([0, 1, 0, 1], [1])
+    with pytest.raises(TypeError):
+        oracle_nf([0, 1.5, 0, 1], [0])
+    with pytest.raises(TypeError):
+        oracle_all_nf([0, 1.5])
+    with pytest.raises(TypeError):
+        oracle_nf([0, 1, 0, 1], [1.0])

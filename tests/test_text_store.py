@@ -81,3 +81,21 @@ def test_as_symbols_accepts_str_bytes_and_ints():
 def test_occurrence_fields():
     occ = Occurrence(2, 5)
     assert (occ.i, occ.j) == (2, 5)
+
+
+def test_store_rejects_non_integer_symbols():
+    st = TextStore(alphabet_size=4)
+    st.append(True)
+    st.extend((2, False))
+    assert st._symbols == [1, 2, 0]
+    assert all(type(c) is int for c in st._symbols)
+    with pytest.raises(TypeError):
+        st.append(1.5)
+    with pytest.raises(TypeError):
+        st.append("a")
+    # a batch is all or nothing: nothing before the float is kept
+    with pytest.raises(TypeError):
+        st.extend((1, 2.5, True))
+    with pytest.raises(ValueError):
+        st.extend((1, 4))
+    assert st._symbols == [1, 2, 0]
