@@ -1,32 +1,41 @@
 """Tracks the loci of all repeated suffixes of the growing text.
 
 Every repeated suffix ends at an implicit node: a point (child, d) on
-the edge into `child` at string depth d. The registry keys each such
-member by its suffix start, so the depth n - start needs no updates as
-the text grows; leaf edges are maintenance-free because their open ends
-deepen in lockstep. Membership itself is maintained exactly during
-construction: drop a member the moment its suffix gets a leaf (always
-the longest one alive, so always the head of its group), record each
-new length-1 member at its root child, and relocate a whole group when
-its edge is split.
+the edge into `child` at string depth d. The repeated suffixes are
+exactly the starts [n - A, n) (0-based), A the length of the longest
+one, and each is keyed by its start, so its depth n - start needs no
+updates as the text grows; leaf edges are maintenance-free because
+their open ends deepen in lockstep.
+
+Members are kept in groups, one per recorded node, after Breslauer and
+Italiano: the group holds the node and its members' starts ascending
+(deepest first), and each member holds a handle to its group. Every
+construction hook is O(1) (amortized, as dict updates are): a new
+suffix leaf drops the longest member, always the head of its group; a
+new length-1 member joins the group of its root child; an edge split
+retargets the one group on that edge.
 
 The recorded node, by contrast, is allowed to trail: when a member's
-depth passes a branching node, the pointer is not advanced until the
-next query. A trailing pointer always stays on the member's own root
-path (drops and split relocations preserve that), so a query-time sweep
-restores every pointer with a skip/count walk from where it stopped.
-The walks equal the boundary crossings they resolve, paid by the first
-query after a burst of extensions.
-
-Neither construction nor sync is constant time per event. edge_split
-re-points every member of the moved group and leaf_added pops a group
-head off the front of a list, both O(group size). _sync visits every
-member, and once any record moved it rebuilds the edge lists from all
-members. On runs (a^k then b) and short-period text both costs grow
-quadratically with the text.
+depth passes a branching node, the record is not advanced until the
+next query. A trailing record always stays on the member's own root
+path (drops and split retargets preserve that), so a skip/count walk
+from it lands exactly. The head of a group is its first member to cross
+the group's node, at text length head + depth(node) + 1, and groups on
+branching nodes are filed under that length (a drop only makes the
+filing early, and a group a split moves dies within the phase). The
+query-time sync opens only the groups filed at the lengths passed since
+the previous sync and walks only their members that crossed, one step
+per node crossed; a group that gets arrivals out of start order is
+sorted once. The filing is dropped once it holds far more entries than
+there are groups (after a long run of appends with no query, as in a
+bulk build); the next sync then opens every group once, at a cost
+within the hook calls made since the previous sync, and files them
+again.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .suffix_tree import KIND_BRANCH, KIND_LEAF, ROOT, SuffixTree
 from .text_store import TextStore
@@ -38,19 +47,33 @@ CLASS_COINCIDING = "coinciding"
 _CLASS_RANK = {CLASS_EXTERNAL: 0, CLASS_INTERNAL: 1, CLASS_COINCIDING: 2}
 
 
+class _Group(deque):
+    """The members recorded at one node (an edge child, `node`): their
+    starts, ascending."""
+
+    __slots__ = ("node",)
+
+
 class ImplicitRegistry:
     """Per-edge implicit-node index, kept current by the builder's
     hooks leaf_added, edge_split and phase_ended.
 
     State:
-      _member_node: suffix start (0-based) -> recorded node, an edge
-          child on the member's path; exact after _sync, possibly a
-          trailing ancestor between queries. Kept in ascending start
-          order: a new member has the largest start, a dropped one the
-          smallest, and every other write reassigns an existing key
-      _edge_members: recorded node -> suffix starts ascending (deepest
-          first), the inverse of _member_node
+      _handles: start -> the member's group; exactly the starts
+          n - A .. n - 1, in ascending order (a new member has the
+          largest start, a dropped one the smallest, and a sync only
+          reassigns existing keys)
+      _groups: recorded node -> its group; a node has a group iff some
+          member is recorded there. Exact after _sync, possibly trailing
+          ancestors between queries
+      _due: text length -> groups filed under it, each group on a
+          branching node once, no later than its head crosses the node;
+          None once dropped
+      _queued: entries in _due, those of dead groups included
       _synced_at: text length the records were last advanced for
+
+    _member_node and _edge_members are read-only snapshots of the same
+    state (start -> node, node -> ascending starts).
 
     verify() checks the state against a from-scratch recomputation; it is
     for tests, far too slow for real use.
@@ -59,8 +82,10 @@ class ImplicitRegistry:
     def __init__(self, store: TextStore, tree: SuffixTree):
         self.store = store
         self.tree = tree
-        self._member_node: dict[int, int] = {}
-        self._edge_members: dict[int, list[int]] = {}
+        self._handles: dict[int, _Group] = {}
+        self._groups: dict[int, _Group] = {}
+        self._due: dict[int, list[_Group]] | None = {}
+        self._queued = 0
         self._synced_at = 0
         # stable list identities, cached off the hot path
         self._syms = store._symbols
@@ -75,30 +100,31 @@ class ImplicitRegistry:
         """Suffix j (0-based) got a leaf, so it is no longer repeated.
 
         j is the longest suffix still alive (extensions run longest
-        first), hence the smallest start and the head of its group. The
-        recorded node may trail behind `parent`; the keyed pop is exact
-        either way."""
-        u = self._member_node.pop(j, None)
-        if u is None:
+        first), so if it is a member it has the smallest start and heads
+        its group. The group's filing may now be early; the sync files it
+        again when it comes due."""
+        g = self._handles.pop(j, None)
+        if g is None:
             return
-        lst = self._edge_members[u]
-        assert lst[0] == j
-        lst.pop(0)
-        if not lst:
-            del self._edge_members[u]
+        g.popleft()
+        if not g:
+            del self._groups[g.node]
 
     def edge_split(self, old_child: int, new_node: int) -> None:
-        """The edge into old_child was cut at new_node. Every member of
-        the group sits at or above the cut (deeper ones were dropped
-        earlier in the phase), so new_node stays on all their paths and
-        the whole group moves to it."""
-        lst = self._edge_members.pop(old_child, None)
-        if lst is None:
-            return
-        self._edge_members[new_node] = lst
-        member_node = self._member_node
-        for p in lst:
-            member_node[p] = new_node
+        """The edge into old_child was cut at new_node, at the end of the
+        suffix j being extended by c. Deeper members of the group were
+        dropped earlier in the phase, so the whole group moves to
+        new_node. It needs no filing: every member left in it gets a
+        leaf later in this phase. Such a member q is shorter than j, a
+        prefix of it (same edge) and a suffix of it, and strictly inside
+        the edge, so all of its earlier occurrences continue with one
+        symbol; one of them ends an earlier occurrence of j, where that
+        symbol is the one after the cut, not c. So q + c is new."""
+        groups = self._groups
+        g = groups.pop(old_child, None)
+        if g is not None:
+            g.node = new_node
+            groups[new_node] = g
 
     def phase_ended(self, n: int, c: int) -> None:
         """All extensions for symbol c, which made the text n long, are
@@ -107,75 +133,150 @@ class ImplicitRegistry:
         locus starts on the edge into the root's c-child. That edge starts
         at the first occurrence of c (splits keep the upper part's start),
         so it starts before n - 1 exactly when c is not new. The start
-        n - 1 is the largest alive, so appending keeps the group
-        ascending."""
+        n - 1 is the largest alive, so appending keeps every order."""
         p = n - 1
         v = self._children[ROOT][c]
         if self._edge_start[v] < p:
-            self._member_node[p] = v
-            edge_members = self._edge_members
-            if v in edge_members:
-                edge_members[v].append(p)
-            else:
-                edge_members[v] = [p]
+            groups = self._groups
+            g = groups.get(v)
+            if g is None:
+                g = groups[v] = _Group()
+                g.node = v
+                if self._due is not None and self._kind[v] == KIND_BRANCH:
+                    self._file(g, n + self._depth[v])
+            g.append(p)
+            self._handles[p] = g
+
+    # -- query-time sync -----------------------------------------------------
+
+    def _file(self, g: _Group, t: int) -> None:
+        """File g under text length t, which is past the last sync. Drops
+        the whole filing instead once it holds far more entries than there
+        are groups."""
+        due = self._due
+        if self._queued > 2 * len(self._groups) + 64:
+            self._due = None
+            return
+        bucket = due.get(t)
+        if bucket is None:
+            due[t] = [g]
+        else:
+            bucket.append(g)
+        self._queued += 1
 
     def _sync(self) -> None:
-        """Advance every recorded node past the boundaries its member's
-        depth crossed since the last query. A record only ever trails
-        along its member's own root path, so a skip/count walk from it
-        lands exactly; records on leaf edges never move again (open ends
-        deepen with the text). The walks are proportional to the crossings
-        being resolved, but the scan visits every member and, if any record
-        moved, the edge lists are rebuilt from all members in start order."""
+        """Advance every record past the boundaries its member's depth
+        crossed since the last sync. Opens the groups filed at the text
+        lengths passed since then, skipping dead ones; once the filing was
+        dropped, opens every group on a branching node and files them all
+        anew."""
         n = len(self._syms)
         if self._synced_at == n:
             return
+        groups = self._groups
+        unsorted: dict[int, _Group] = {}
+        due = self._due
+        if due is not None:
+            for t in range(self._synced_at + 1, n + 1):
+                bucket = due.pop(t, None)
+                if bucket is not None:
+                    self._queued -= len(bucket)
+                    for g in bucket:
+                        if groups.get(g.node) is g:
+                            self._advance(g, n, unsorted)
+        if self._due is None:
+            kind = self._kind
+            for g in list(groups.values()):
+                if kind[g.node] == KIND_BRANCH:
+                    self._advance(g, n, unsorted)
+            self._due = {}
+            self._queued = 0
+            depth_arr = self._depth
+            for u, g in groups.items():
+                if kind[u] == KIND_BRANCH:
+                    self._file(g, g[0] + depth_arr[u] + 1)
+        for h in unsorted.values():
+            starts = sorted(h)
+            h.clear()
+            h.extend(starts)
+        self._synced_at = n
+
+    def _advance(self, g: _Group, n: int, unsorted: dict[int, _Group]) -> None:
+        """Walk the members of g that crossed its branching node, a prefix
+        of g, down to their loci and append each to the group there, then
+        file g again for its new head.
+
+        The members landing on one edge can come from several groups, so
+        a group that gets them out of order goes into unsorted, for the
+        sync to sort once all groups have moved. (Members already on that
+        edge are deeper than every arrival.)"""
         syms = self._syms
-        member_node = self._member_node
         kind = self._kind
         depth_arr = self._depth
         child_map = self._children
-        moved = False
-        for p, u in member_node.items():
-            if kind[u] == KIND_LEAF:
-                continue
-            du = depth_arr[u]
+        groups = self._groups
+        handles = self._handles
+        u = g.node
+        du = depth_arr[u]
+        while g and n - g[0] > du:
+            p = g.popleft()
             length = n - p
-            if du >= length:
-                continue
+            w = u
+            dw = du
             while True:
-                u = child_map[u][syms[p + du]]
-                if kind[u] == KIND_LEAF:
+                w = child_map[w][syms[p + dw]]
+                if kind[w] == KIND_LEAF:
                     break
-                du = depth_arr[u]
-                if du >= length:
+                dw = depth_arr[w]
+                if dw >= length:
                     break
-            member_node[p] = u
-            moved = True
-        if moved:
-            edge_members = self._edge_members
-            edge_members.clear()
-            for p, u in member_node.items():
-                if u in edge_members:
-                    edge_members[u].append(p)
-                else:
-                    edge_members[u] = [p]
-        self._synced_at = n
+            h = groups.get(w)
+            if h is None:
+                h = groups[w] = _Group()
+                h.node = w
+                if self._due is not None and kind[w] == KIND_BRANCH:
+                    self._file(h, p + dw + 1)
+            elif p < h[-1]:
+                unsorted[w] = h
+            h.append(p)
+            handles[p] = h
+        if not g:
+            del groups[u]
+        elif self._due is not None:
+            self._file(g, g[0] + du + 1)
+
+    def loaded_edges(self) -> dict[int, _Group]:
+        """Synced map from each edge child carrying a member to its group
+        (the members' starts, ascending). Read-only."""
+        if self._synced_at != len(self._syms):
+            self._sync()
+        return self._groups
+
+    @property
+    def _member_node(self) -> dict[int, int]:
+        """Snapshot: start -> recorded node, ascending starts."""
+        return {p: g.node for p, g in self._handles.items()}
+
+    @property
+    def _edge_members(self) -> dict[int, list[int]]:
+        """Snapshot: recorded node -> its members' starts, ascending."""
+        return {u: list(g) for u, g in self._groups.items()}
 
     # -- queries -----------------------------------------------------------
 
     def member_count(self) -> int:
         # membership is exact without a sync; only recorded nodes trail
-        return len(self._member_node)
+        return len(self._handles)
 
     def member_at_depth(self, depth: int):
         """Edge child of the locus of the repeated suffix of the given
         length, or None. There is at most one per length."""
-        if depth <= 0:
+        p = len(self._syms) - depth
+        if depth <= 0 or p not in self._handles:
             return None
         if self._synced_at != len(self._syms):
             self._sync()
-        return self._member_node.get(len(self.store) - depth)
+        return self._handles[p].node
 
     def implicit_on_edge(self, child: int) -> list[int]:
         """Depths of implicit nodes on the edge into child, ascending.
@@ -183,39 +284,30 @@ class ImplicitRegistry:
         exactly at child (see coincides_with_branching)."""
         if child == ROOT:
             raise ValueError("root has no incoming edge")
-        if self._synced_at != len(self._syms):
-            self._sync()
-        lst = self._edge_members.get(child)
-        if not lst:
+        g = self.loaded_edges().get(child)
+        if not g:
             return []
         n = len(self.store)
-        return [n - p for p in reversed(lst)]
+        return [n - p for p in reversed(g)]
 
     def deepest_implicit_on_edge(self, child: int):
         """Largest implicit depth on the edge into child, or None."""
         if child == ROOT:
             raise ValueError("root has no incoming edge")
-        if self._synced_at != len(self._syms):
-            self._sync()
-        lst = self._edge_members.get(child)
-        if not lst:
+        g = self.loaded_edges().get(child)
+        if not g:
             return None
-        return len(self.store) - lst[0]
+        return len(self.store) - g[0]
 
     def has_implicit_on_edge(self, child: int) -> bool:
-        if self._synced_at != len(self._syms):
-            self._sync()
-        return child in self._edge_members
+        return child in self.loaded_edges()
 
     def coincides_with_branching(self, u: int) -> bool:
         """True iff str(u) itself is a repeated suffix of the current text."""
         tree = self.tree
         if tree.kind[u] != KIND_BRANCH:
             raise ValueError("coincidence is defined for branching nodes")
-        if self._synced_at != len(self._syms):
-            self._sync()
-        p = len(self.store) - tree.depth_arr[u]
-        return self._member_node.get(p) == u
+        return self.member_at_depth(tree.depth_arr[u]) == u
 
     def edge_progression(self, child: int):
         """Implicit depths on the edge into child as (first_d, step, count);
@@ -241,7 +333,8 @@ class ImplicitRegistry:
         n = len(self.store)
         tree = self.tree
         out = []
-        for p, u in self._member_node.items():
+        for p, g in self._handles.items():
+            u = g.node
             d = n - p
             if tree.kind[u] == KIND_LEAF:
                 cls = CLASS_EXTERNAL
@@ -261,7 +354,8 @@ class ImplicitRegistry:
         tree = self.tree
         kind = tree.kind
         depth_arr = tree.depth_arr
-        for p, u in self._member_node.items():
+        for p, g in self._handles.items():
+            u = g.node
             if kind[u] == KIND_BRANCH and n - p == depth_arr[u]:
                 return (u, n - p)
         return None
@@ -297,7 +391,9 @@ class ImplicitRegistry:
 
     def verify(self, active_depth: int) -> None:
         """Assert the synced incremental state matches the slow
-        recomputation."""
+        recomputation, that every handle is the group holding its
+        member's start, and that every group on a branching node is filed
+        exactly once, past n and no later than its head crosses it."""
         self._sync()
         expect = self.recompute_member_map(active_depth)
         assert self._member_node == expect, (
@@ -307,5 +403,23 @@ class ImplicitRegistry:
             rebuilt.setdefault(expect[p], []).append(p)
         assert self._edge_members == rebuilt, (
             f"edge lists diverged: have {self._edge_members}, want {rebuilt}")
+        n = len(self._syms)
+        groups = self._groups
+        holder = {p: g for g in groups.values() for p in g}
+        for p, g in self._handles.items():
+            assert holder.get(p) is g and groups.get(g.node) is g, (
+                f"handle of start {p} is not the group holding it")
+        due = self._due
+        if due is not None:
+            assert self._queued == sum(map(len, due.values())), "filing count diverged"
+            filed_at: dict[int, list[int]] = {}
+            for t, bucket in due.items():
+                for h in bucket:
+                    filed_at.setdefault(id(h), []).append(t)
+            for u, g in groups.items():
+                if self._kind[u] == KIND_BRANCH:
+                    ts = filed_at.get(id(g), [])
+                    assert len(ts) == 1 and n < ts[0] <= g[0] + self._depth[u] + 1, (
+                        f"group at {u} is filed at {ts}, not once by its crossing")
         ranks = [_CLASS_RANK[cls] for _d, _s, _u, cls in self.members()]
         assert ranks == sorted(ranks), f"chain segment order violated: {self.members()}"

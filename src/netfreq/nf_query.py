@@ -153,7 +153,7 @@ def rho(tree: SuffixTree, registry: ImplicitRegistry, locus: Locus) -> int:
     if tree.kind[u] == KIND_LEAF:
         return 2 if registry.deepest_implicit_on_edge(u) == d else 1
     if d == tree.depth_arr[u]:
-        return 1 + len(_count_at_node(tree, u, registry._edge_members)[1])
+        return 1 + len(_count_at_node(tree, u, registry.loaded_edges())[1])
     return 1
 
 
@@ -192,8 +192,8 @@ def _nf_at_locus(builder: OnlineBuilder, registry: ImplicitRegistry,
         # repeated suffix. At a node repeated left extensions are possible
         # ("aabaababa" S="aba") and the full count below runs.
         return rho(tree, registry, locus) if locus == builder.active_locus() else 0
-    coincides = registry.member_at_depth(d) == u  # also syncs the registry
-    phi, clean = _count_at_node(tree, u, registry._edge_members)
+    coincides = registry.member_at_depth(d) == u
+    phi, clean = _count_at_node(tree, u, registry.loaded_edges())
     if not coincides:
         return phi
     phi += 1  # the text end is a unique right extension of S
@@ -293,9 +293,8 @@ def online_all_nf(builder: OnlineBuilder, registry: ImplicitRegistry) -> list[Nf
     child_map = tree.child_map
     wlink_map = tree.wlink_map
     syms = builder.store._symbols
-    registry._sync()  # the corrections read the edge lists directly
-    edge_members = registry._edge_members
-    for w in edge_members:
+    loaded = registry.loaded_edges()
+    for w in loaded:
         v = parent[w]
         if kind[w] != KIND_LEAF or v == ROOT:
             # only leaf edges certify extensions; the sweep pays the root
@@ -311,7 +310,7 @@ def online_all_nf(builder: OnlineBuilder, registry: ImplicitRegistry) -> list[Nf
         if wm:
             for src in wm.values():
                 p = child_map[src].get(y)
-                if p is not None and kind[p] == KIND_LEAF and p not in edge_members:
+                if p is not None and kind[p] == KIND_LEAF and p not in loaded:
                     phi[v] += 1
     tau = registry.longest_coinciding()
     if tau is not None:
