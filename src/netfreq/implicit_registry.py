@@ -9,28 +9,28 @@ their open ends deepen in lockstep.
 
 Members are kept in groups, one per recorded node, after Breslauer and
 Italiano: the group holds the node and its members' starts ascending
-(deepest first), and each member holds a handle to its group. Every
-construction hook is O(1) (amortized, as dict updates are): a new
-suffix leaf drops the longest member, always the head of its group; a
-new length-1 member joins the group of its root child; an edge split
-retargets the one group on that edge.
+(deepest first), and each member holds a handle to its group. The
+builder's one hook, phase_ended, is told the active depth after each
+Ukkonen phase. It drops the members that got leaves in the phase (the
+longest, each the head of its group) and adds the new length-1 member
+to the group of its root child, O(1) per member dropped or added
+(amortized, as dict updates are).
 
 The recorded node, by contrast, is allowed to trail: when a member's
 depth passes a branching node, the record is not advanced until the
 next query. A trailing record always stays on the member's own root
-path (drops and split retargets preserve that), so a skip/count walk
-from it lands exactly. The head of a group is its first member to cross
-the group's node, at text length head + depth(node) + 1, and groups on
-branching nodes are filed under that length (a drop only makes the
-filing early, and a group a split moves dies within the phase). The
+path (drops preserve that, and a group on an edge cut in a phase is
+empty by its end), so a skip/count walk from it lands exactly. The head
+of a group is its first member to cross the group's node, at text
+length head + depth(node) + 1, and groups on branching nodes are filed
+under that length (a drop only makes the filing early). The
 query-time sync opens only the groups filed at the lengths passed since
 the previous sync and walks only their members that crossed, one step
 per node crossed; a group that gets arrivals out of start order is
 sorted once. The filing is dropped once it holds far more entries than
 there are groups (after a long run of appends with no query, as in a
 bulk build); the next sync then opens every group once, at a cost
-within the hook calls made since the previous sync, and files them
-again.
+within the phases run since the previous sync, and files them again.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class _Group(deque):
 
 class ImplicitRegistry:
     """Per-edge implicit-node index, kept current by the builder's
-    hooks leaf_added, edge_split and phase_ended.
+    hook phase_ended.
 
     State:
       _handles: start -> the member's group; exactly the starts
@@ -90,53 +90,42 @@ class ImplicitRegistry:
         # stable list identities, cached off the hot path
         self._syms = store._symbols
         self._kind = tree.kind
-        self._edge_start = tree.edge_start
         self._depth = tree.depth_arr
         self._children = tree.child_map
 
-    # -- construction hooks --------------------------------------------------
+    # -- construction hook ----------------------------------------------------
 
-    def leaf_added(self, leaf: int, parent: int, j: int) -> None:
-        """Suffix j (0-based) got a leaf, so it is no longer repeated.
-
-        j is the longest suffix still alive (extensions run longest
-        first), so if it is a member it has the smallest start and heads
-        its group. The group's filing may now be early; the sync files it
-        again when it comes due."""
-        g = self._handles.pop(j, None)
-        if g is None:
-            return
-        g.popleft()
-        if not g:
-            del self._groups[g.node]
-
-    def edge_split(self, old_child: int, new_node: int) -> None:
-        """The edge into old_child was cut at new_node, at the end of the
-        suffix j being extended by c. Deeper members of the group were
-        dropped earlier in the phase, so the whole group moves to
-        new_node. It needs no filing: every member left in it gets a
-        leaf later in this phase. Such a member q is shorter than j, a
-        prefix of it (same edge) and a suffix of it, and strictly inside
-        the edge, so all of its earlier occurrences continue with one
-        symbol; one of them ends an earlier occurrence of j, where that
-        symbol is the one after the cut, not c. So q + c is new."""
-        groups = self._groups
-        g = groups.pop(old_child, None)
-        if g is not None:
-            g.node = new_node
-            groups[new_node] = g
-
-    def phase_ended(self, n: int, c: int) -> None:
+    def phase_ended(self, n: int, c: int, a: int) -> None:
         """All extensions for symbol c, which made the text n long, are
-        done. The only exact bookkeeping left is the birth of the length-1
-        member: the new suffix c is repeated iff c occurred before, and its
-        locus starts on the edge into the root's c-child. That edge starts
-        at the first occurrence of c (splits keep the upper part's start),
-        so it starts before n - 1 exactly when c is not new. The start
-        n - 1 is the largest alive, so appending keeps every order."""
+        done, and a is the active depth: the repeated suffixes are now the
+        starts n - a .. n - 1.
+
+        Every member below n - a got a leaf in this phase. Those are the
+        smallest starts, so each one heads its group when it is popped.
+        A group may then be filed early; the sync files it again when it
+        comes due. A group whose edge was cut in this phase still names
+        the lower node, but it is empty by now: each member q left on it
+        after the deeper ones got their leaves is shorter than the suffix
+        j being extended, a prefix of it (same edge) and a suffix of it,
+        and strictly inside the edge, so all of q's earlier occurrences
+        continue with one symbol; one of them ends an earlier occurrence
+        of j, where that symbol is the one after the cut, not c. So q + c
+        is new and q gets a leaf later in the phase.
+
+        The new suffix c is repeated iff a > 0. Its locus starts on the
+        edge into the root's c-child, and n - 1 is the largest start
+        alive, so appending keeps every order."""
+        handles = self._handles
         p = n - 1
-        v = self._children[ROOT][c]
-        if self._edge_start[v] < p:
+        if a <= len(handles):  # else every member was extended by c
+            groups = self._groups
+            for j in range(p - len(handles), n - a if a else p):
+                g = handles.pop(j)
+                g.popleft()
+                if not g:
+                    del groups[g.node]
+        if a:
+            v = self._children[ROOT][c]
             groups = self._groups
             g = groups.get(v)
             if g is None:
@@ -145,7 +134,7 @@ class ImplicitRegistry:
                 if self._due is not None and self._kind[v] == KIND_BRANCH:
                     self._file(g, n + self._depth[v])
             g.append(p)
-            self._handles[p] = g
+            handles[p] = g
 
     # -- query-time sync -----------------------------------------------------
 

@@ -3,9 +3,9 @@
 Ukkonen-style update with an explicit active point, open leaf ends, and
 suffix links. Weiner links are recorded as the mirror of every suffix
 link assignment. One phase loop serves every entry point; an observer
-(the implicit-locus registry) sees construction through three hooks:
-leaf_added(leaf, parent, j), edge_split(old_child, new_node) and
-phase_ended(n, c).
+(the implicit-locus registry) sees construction through one hook,
+phase_ended(n, c, a), called after each phase with the text length n,
+the symbol c at n - 1 and the active depth a.
 """
 
 from __future__ import annotations
@@ -25,16 +25,15 @@ class OnlineBuilder:
     Invariant between extensions: remainder equals the length of the
     active string (the longest repeated suffix).
 
-    registry, when set, is any object with the three hooks named in the
-    module docstring. Each hook is looked up on it at every call (binding
-    all three per extend() would cost more than the calls), so wrappers
-    installed on the instance see every call.
+    registry, when set, is any object with the hook named in the module
+    docstring. The hook is looked up on it at every phase, so a wrapper
+    installed on the instance sees every call.
     """
 
-    def __init__(self, store: TextStore, registry=None):
+    def __init__(self, store: TextStore):
         self.store = store
         self.tree = SuffixTree(store)
-        self.registry = registry
+        self.registry = None
         self.active_node = ROOT
         self.active_edge = 0
         self.active_length = 0
@@ -163,8 +162,6 @@ class OnlineBuilder:
                             child_map[active_node][edge_sym] = here
                             edge_start[child] = es + active_length
                             parent[child] = here
-                            if reg is not None:
-                                reg.edge_split(child, here)
                     if here != NIL:
                         leaf = len(kind)
                         kind.append(KIND_LEAF)
@@ -175,8 +172,6 @@ class OnlineBuilder:
                         child_map.append(None)
                         wlink_map.append(None)
                         child_map[here][c] = leaf
-                        if reg is not None:
-                            reg.leaf_added(leaf, here, n - remainder)
                     if last_new != NIL:
                         # str(last_new) = x str(target): the suffix link
                         # is mirrored as the Weiner link on x
@@ -202,7 +197,7 @@ class OnlineBuilder:
                         sl = slink_arr[active_node]
                         active_node = sl if sl != NIL else ROOT
                 if reg is not None:
-                    reg.phase_ended(n, c)
+                    reg.phase_ended(n, c, remainder)
         except BaseException as exc:
             self._failure = exc
             raise

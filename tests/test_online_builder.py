@@ -1,4 +1,4 @@
-"""Construction paths: per-symbol vs bulk, observer hooks, sealing."""
+"""Construction paths: per-symbol vs bulk, the observer hook, sealing."""
 
 import random
 
@@ -11,9 +11,8 @@ from netfreq import (
     TextStore,
     oracle_all_nf,
     oracle_nf,
+    oracle_repeated_suffixes,
 )
-
-HOOKS = ("leaf_added", "edge_split", "phase_ended")
 
 
 def fresh():
@@ -73,14 +72,8 @@ class Forwarder:
     def __init__(self, target):
         self.target = target
 
-    def leaf_added(self, leaf, parent, j):
-        self.target.leaf_added(leaf, parent, j)
-
-    def edge_split(self, old_child, new_node):
-        self.target.edge_split(old_child, new_node)
-
-    def phase_ended(self, n, c):
-        self.target.phase_ended(n, c)
+    def phase_ended(self, n, c, a):
+        self.target.phase_ended(n, c, a)
 
 
 def test_event_stream_replays_into_equal_registry():
@@ -95,78 +88,68 @@ def test_event_stream_replays_into_equal_registry():
         for c in text:
             builder.extend(c)
             ix.extend(c)
+        shadow.verify(builder.active_depth())
         ix.registry._sync()
-        shadow._sync()
         assert ix.registry._member_node == shadow._member_node
         assert ix.registry._edge_members == shadow._edge_members
 
 
 class Recorder:
-    """Checks each hook call's fields against the tree as it is called."""
+    """Checks each hook call's fields against the text as it is called."""
 
-    def __init__(self, builder, text):
-        self.tree = builder.tree
-        self.text = text
-        self.seen = set()
-        self.phases = 0
+    def __init__(self, codes):
+        self.codes = codes
+        self.calls = []
 
-    def leaf_added(self, leaf, parent, j):
-        self.seen.add("leaf_added")
-        assert self.tree.is_leaf(leaf)
-        assert self.tree.parent_of(leaf) == parent
-        assert j >= 0
-
-    def edge_split(self, old_child, new_node):
-        self.seen.add("edge_split")
-        assert self.tree.parent_of(old_child) == new_node
-        assert self.tree.is_branching(new_node)
-
-    def phase_ended(self, n, c):
-        self.seen.add("phase_ended")
-        self.phases += 1
-        assert n == self.phases
-        assert c == self.text[n - 1]
+    def phase_ended(self, n, c, a):
+        self.calls.append((n, c, a))
+        assert n == len(self.calls)
+        assert c == self.codes[n - 1]
+        repeated = oracle_repeated_suffixes(self.codes[:n])
+        assert a == (repeated[0][0] if repeated else 0)
 
 
 def test_event_types_carry_usable_fields():
-    text = b"aabaabab"
-    for bulk in (False, True):
-        builder = OnlineBuilder(TextStore())
-        rec = builder.registry = Recorder(builder, text)
-        if bulk:
-            builder.extend_text(text)
-        else:
-            for c in text:
-                builder.extend(c)
-        assert rec.seen == set(HOOKS)
-        assert rec.phases == len(text)
+    rng = random.Random(11)
+    texts = [b"aabaabab", b"abcabxabcd", b"aaaa"]
+    texts += [bytes(rng.randrange(3) + 97 for _ in range(rng.randrange(1, 40)))
+              for _ in range(10)]
+    for text in texts:
+        for bulk in (False, True):
+            builder = OnlineBuilder(TextStore())
+            codes = list(text) + [builder.store.sentinel]
+            rec = builder.registry = Recorder(codes)
+            if bulk:
+                builder.extend_text(text)
+            else:
+                for c in text:
+                    builder.extend(c)
+            assert len(rec.calls) == len(text)
+            builder.seal()
+            assert rec.calls[-1] == (len(codes), builder.store.sentinel, 0)
 
 
 def test_hooks_wrapped_on_the_registry_instance_see_every_call():
-    # tooling wraps the hooks on a built index's registry instance; a
-    # builder that cached the bound methods earlier would bypass them
+    # tooling wraps the hook on a built index's registry instance; a
+    # builder that cached the bound method earlier would bypass it
     ix = fresh()
-    ix.extend_text(b"ab")  # two leaves, no split, two phases
-    calls = dict.fromkeys(HOOKS, 0)
+    ix.extend_text(b"ab")  # two phases
+    calls = []
+    phase_ended = ix.registry.phase_ended
 
-    def counted(name, fn):
-        def hook(*args):
-            calls[name] += 1
-            return fn(*args)
-        return hook
+    def counted(*args):
+        calls.append(args)
+        return phase_ended(*args)
 
-    for name in HOOKS:
-        setattr(ix.registry, name, counted(name, getattr(ix.registry, name)))
+    ix.registry.phase_ended = counted
     ix.extend(ord("a"))
-    assert calls["phase_ended"] == 1
+    assert len(calls) == 1
     ix.extend_text(b"abaababa")
-    assert calls["phase_ended"] == 9
+    assert len(calls) == 9
     ix.extend(ord("b"))
-    assert calls["phase_ended"] == 10
+    assert len(calls) == 10
     ix.seal()
-    assert calls == {"leaf_added": ix.tree.leaf_count() - 2,
-                     "edge_split": ix.tree.branching_count(),
-                     "phase_ended": len(ix) - 2}
+    assert [n for n, _c, _a in calls] == list(range(3, len(ix) + 1))
     ix.registry.verify(ix.active_depth())
 
 
@@ -241,16 +224,16 @@ class HookFailure(Exception):
 
 def test_failure_mid_phase_leaves_the_index_unusable():
     ix = fresh()
-    leaf_added = ix.registry.leaf_added
+    phase_ended = ix.registry.phase_ended
     calls = []
 
     def failing(*args):
         calls.append(args)
         if len(calls) == 5:
-            raise HookFailure("fifth leaf")
-        return leaf_added(*args)
+            raise HookFailure("fifth phase")
+        return phase_ended(*args)
 
-    ix.registry.leaf_added = failing
+    ix.registry.phase_ended = failing
     with pytest.raises(HookFailure):
         ix.extend_text(b"abcabxabcd")
     for op in (lambda: ix.extend(ord("a")), lambda: ix.extend_text(b"ab"),
