@@ -45,7 +45,8 @@ class NetFrequencyIndex:
 
     def single_nf(self, s) -> int:
         """Net frequency of s against the current text."""
-        self.builder.ensure_usable()
+        if self.builder._failure is not None:  # ensure_usable(), inlined on the hot path
+            self.builder.ensure_usable()
         return online_single_nf(self.builder, self.registry, s)
 
     def all_nf(self) -> list[NfReport]:

@@ -191,6 +191,8 @@ def _nf_at_locus(builder: OnlineBuilder, registry: ImplicitRegistry,
         # subtracts, since a longer left extension would be a longer
         # repeated suffix. At a node repeated left extensions are possible
         # ("aabaababa" S="aba") and the full count below runs.
+        if d != builder.active_depth():
+            return 0
         return rho(tree, registry, locus) if locus == builder.active_locus() else 0
     coincides = registry.member_at_depth(d) == u
     phi, clean = _count_at_node(tree, u, registry.loaded_edges())

@@ -136,8 +136,9 @@ class SuffixTree:
 
     def wlinks(self, u: int) -> list[tuple[int, int]]:
         """Stored Weiner links of u as (symbol, target) pairs in symbol
-        order: wlink(u, x) = v means str(v) = x + str(u). Empty for the
-        root; error for leaves."""
+        order: wlink(u, x) = v means str(v) = x + str(u). The root holds
+        one for every branching node of depth 1 (str(v) = x); error for
+        leaves."""
         if self.kind[u] == KIND_LEAF:
             raise ValueError("Weiner links exist on branching nodes and the root only")
         wm = self.wlink_map[u]
@@ -159,37 +160,38 @@ class SuffixTree:
     def locate(self, s) -> Locus | None:
         """Locus of string s, or None when s does not occur.
 
-        Walks from the root comparing every symbol; O(|s|).
+        A blind descent (the String B-tree search of Ferragina and
+        Grossi): from each node it reads only the branching symbol
+        s[depth], skips the rest of the edge by string depth, and stops at
+        the first leaf or node at least |s| deep. It then compares s once,
+        in one list comparison, with the text at start() of that node.
+        This is exact: when s occurs, its branching symbols fix its path,
+        and every locus has an occurrence at start() of its node, so the
+        comparison succeeds; when s does not occur, no text slice equals
+        it, and a slice cut short by the end of the text (an open leaf
+        edge) is shorter than s. O(|s|).
         """
         q = list(as_symbols(s))
-        if not q:
-            raise ValueError("empty query")
-        syms = self.store._symbols
-        n = len(syms)
-        child_map = self.child_map
-        edge_start = self.edge_start
-        depth_arr = self.depth_arr
-        u = ROOT
-        d = 0
-        i = 0
         m = len(q)
+        if not m:
+            raise ValueError("empty query")
+        child_map = self.child_map
+        depth_arr = self.depth_arr
+        cm = child_map[ROOT]
+        d = 0
         while True:
-            cm = child_map[u]
-            v = None if cm is None else cm.get(q[i])
+            v = cm.get(q[d])
             if v is None:
                 return None
-            # d is depth(u) here; a leaf (depth 0) has an open edge
-            es = edge_start[v]
             dv = depth_arr[v]
-            elen = dv - d if dv else n - es
-            take = min(elen, m - i)
-            if syms[es:es + take] != q[i:i + take]:
-                return None
-            i += take
-            d += take
-            if i == m:
-                return Locus(v, d)
-            u = v
+            if not dv or dv >= m:  # a leaf (depth 0) or deep enough
+                break
+            cm = child_map[v]
+            d = dv
+        st = self.edge_start[v] - d  # the leftmost occurrence, as in start()
+        if self.store._symbols[st:st + m] != q:
+            return None
+        return Locus(v, m)
 
     def subtree_leaf_count(self, u: int) -> int:
         """Leaves in the subtree rooted at u (u itself counts if a leaf)."""

@@ -73,6 +73,65 @@ def test_locate_matches_brute_force():
                 assert text[i - 1:i - 1 + len(q)] == q, (text, q)
 
 
+def _queries_near_substrings(text, rng, sigma):
+    # substrings; each with one symbol changed, at every position, so that
+    # a mismatch can fall anywhere inside an edge, past every branching
+    # symbol; the suffix from the same start run one symbol past the end
+    # of the text; and strings over a symbol the text lacks
+    symbols = range(97, 97 + sigma)
+    for _ in range(12):
+        i = rng.randrange(len(text))
+        q = text[i:i + rng.randrange(1, 41)]
+        yield q
+        for k in range(len(q)):
+            for c in symbols:
+                if c != q[k]:
+                    yield q[:k] + bytes([c]) + q[k + 1:]
+        for c in symbols:
+            yield text[i:] + bytes([c])
+    for k in (1, 2, 5):
+        yield b"z" * k
+
+
+def test_locate_rejects_mismatches_anywhere_in_an_edge():
+    rng = random.Random(29)
+    for _ in range(24):
+        sigma = rng.choice((2, 3, 4))
+        text = bytes(rng.randrange(sigma) + 97 for _ in range(rng.randrange(1, 201)))
+        queries = list(_queries_near_substrings(text, rng, sigma))
+        for sealed in (False, True):
+            tree = build(text, sealed)
+            for q in queries:
+                loc = tree.locate(q)
+                if q not in text:
+                    assert loc is None, (text, q, sealed)
+                    continue
+                assert loc is not None, (text, q, sealed)
+                u, d = loc
+                assert d == len(q), (text, q, sealed)
+                assert tree.depth(tree.parent_of(u)) < d <= tree.depth(u), (text, q, sealed)
+                i = tree.start(u)
+                assert text[i - 1:i - 1 + d] == q, (text, q, sealed)
+
+
+def test_root_weiner_links_reach_the_depth_one_branching_nodes():
+    # str(v) = x + str(root) for a branching v of depth 1; no other node
+    # has a suffix link to the root
+    for n in range(1, 7):
+        for t in itertools.product(b"abc", repeat=n):
+            text = bytes(t)
+            for sealed in (False, True):
+                tree = build(text, sealed)
+                for x in b"abcz":
+                    v = tree.child(ROOT, x)
+                    want = v if v is not None and tree.is_branching(v) \
+                        and tree.depth(v) == 1 else None
+                    assert tree.wlink(ROOT, x) == want, (text, sealed, x)
+                assert tree.wlinks(ROOT) == [
+                    (x, v) for x, v in tree.children(ROOT)
+                    if tree.is_branching(v) and tree.depth(v) == 1], (text, sealed)
+
+
 def test_edge_labels_and_depths_are_consistent():
     tree = build(b"aabaabababaa", sealed=True)
     n = tree.node_count()
