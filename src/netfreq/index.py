@@ -1,4 +1,4 @@
-"""Convenience facade tying the store, builder, and registry together."""
+"""Convenience facade tying the store, builder, and registry view together."""
 
 from __future__ import annotations
 
@@ -14,18 +14,18 @@ class NetFrequencyIndex:
 
     Symbols stream in through extend()/extend_text(); queries are valid
     between extensions. seal() terminates the text, after which queries
-    run against the classic sentinel-terminated tree. The registry is the
-    builder's observer. An exception that escapes an update mid-phase
-    leaves the index unusable: later updates and queries raise
-    RuntimeError, chained to that exception.
+    run against the classic sentinel-terminated tree. Queries read the
+    builder's active point; the registry is a read-only view of the
+    repeated suffixes, for inspection. An exception that escapes an
+    update mid-phase leaves the index unusable: later updates and queries
+    raise RuntimeError, chained to that exception.
     """
 
     def __init__(self, alphabet_size: int = 256):
         self.store = TextStore(alphabet_size)
         self.builder = OnlineBuilder(self.store)
         self.tree = self.builder.tree
-        self.registry = ImplicitRegistry(self.store, self.tree)
-        self.builder.registry = self.registry
+        self.registry = ImplicitRegistry(self.builder)
 
     def __len__(self) -> int:
         return len(self.store)
@@ -47,12 +47,12 @@ class NetFrequencyIndex:
         """Net frequency of s against the current text."""
         if self.builder._failure is not None:  # ensure_usable(), inlined on the hot path
             self.builder.ensure_usable()
-        return online_single_nf(self.builder, self.registry, s)
+        return online_single_nf(self.builder, s)
 
     def all_nf(self) -> list[NfReport]:
         """All strings of positive net frequency, ascending by occurrence."""
         self.builder.ensure_usable()
-        return online_all_nf(self.builder, self.registry)
+        return online_all_nf(self.builder)
 
     def active_locus(self) -> Locus:
         return self.builder.active_locus()

@@ -15,29 +15,41 @@ right extension at all, so it never contributes).
 
 Mid-stream there is no sentinel, so the end of the text acts as a
 virtual unique extension of every suffix of the text read so far. The
-repeated suffixes are exactly the registry members; their loci change
-the counting in three ways. A leaf child only certifies a unique right
-extension if its edge carries no member (otherwise the extended string
-occurs again as a suffix). A query string that is itself a member gains
-one unique right extension (the text end). And a member one symbol
-longer than the query subtracts like a repeated left extension, even
-when it ends mid-edge and therefore has no node of its own.
+repeated suffixes are the suffixes of the active string alpha, the
+longest one, of length A with leftmost start iA; nothing else about
+them is needed for a single query. At a branching node u of depth d:
+
+- a leaf child of u certifies a unique right extension unless its
+  suffix starts inside alpha's leftmost occurrence, at iA .. iA + A - d:
+  then the repeated suffix reaching that far ends on its edge (or, at
+  iA + A - d itself, str(u) is a repeated suffix, and taking the leaf
+  away stands for the pair below). No such leaf exists when A <= d;
+- for d < A, str(u) when it is a repeated suffix gains the text end as
+  one more unique right extension, and the repeated suffix one symbol
+  longer, x str(u), takes it back as a vacuously unique pair, so the two
+  cancel and no suffix test is needed;
+- for d = A, str(u) is alpha exactly when alpha's locus is u, and then
+  gains the text end.
+
+Off a node only alpha can score (see _nf_at_locus).
 
 The subtraction conditions are deliberately symmetric: a pair (x, y) is
-discounted only when y is a unique right extension of both xS and S,
-each certified leaf-plus-clean-edge. Discounting on the xS side alone
-overcounts, e.g. text "abbaba", S = "b" would come out -1.
+discounted only when y is a unique right extension of both xS and S.
+Discounting on the xS side alone overcounts, e.g. text "abbaba",
+S = "b" would come out -1. A leaf after xS whose edge carries a
+repeated suffix has one after S too, whose symbol is then not counted,
+so the Weiner sources need no test of their own.
 
-A sealed tree is the live case with no members and an empty active
-string, so the online_* functions answer in both states; the offline_*
-functions are the same counts restricted to a sealed tree.
+A sealed tree is the live case with an empty active string, so the
+online_* functions answer in both states; the offline_* functions are
+the same counts restricted to a sealed tree.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .implicit_registry import ImplicitRegistry
+from .implicit_registry import ImplicitRegistry, suffix_loci
 from .online_builder import OnlineBuilder
 from .suffix_tree import KIND_BRANCH, KIND_LEAF, ROOT, Locus, SuffixTree
 from .text_store import Occurrence
@@ -77,15 +89,20 @@ class ImplicitWeinerTarget(NamedTuple):
 
 # -- the count at one branching node ----------------------------------------
 
-def _count_at_node(tree: SuffixTree, u: int, loaded) -> tuple[int, set]:
+def _count_at_node(tree: SuffixTree, u: int, lo: int = 1, hi: int = 0) -> tuple[int, set]:
     """Net frequency of str(u) from its stored links alone: leaf children
-    whose edge is not in `loaded` (the edges carrying a member), less the
-    Weiner pairs (x, y) where y is such a leaf after both x str(u) and
-    str(u). Returns the count and the clean leaf symbols."""
+    whose edge start is not within lo .. hi (both inclusive; an empty
+    range tests nothing), less the Weiner pairs (x, y) where y is a leaf
+    after x str(u) and one of those leaf symbols. Returns the count and
+    the leaf symbols counted."""
     kind = tree.kind
     child_map = tree.child_map
-    clean = {y for y, w in child_map[u].items()
-             if kind[w] == KIND_LEAF and w not in loaded}
+    if lo > hi:
+        clean = {y for y, w in child_map[u].items() if kind[w] == KIND_LEAF}
+    else:
+        edge_start = tree.edge_start
+        clean = {y for y, w in child_map[u].items()
+                 if kind[w] == KIND_LEAF and not lo <= edge_start[w] <= hi}
     if not clean:
         return 0, clean
     count = len(clean)
@@ -93,7 +110,7 @@ def _count_at_node(tree: SuffixTree, u: int, loaded) -> tuple[int, set]:
     if wm:
         for w in wm.values():
             for y, p in child_map[w].items():
-                if y in clean and kind[p] == KIND_LEAF and p not in loaded:
+                if y in clean and kind[p] == KIND_LEAF:
                     count -= 1
     return count, clean
 
@@ -120,7 +137,7 @@ def offline_single_nf(tree: SuffixTree, s) -> int:
     constant-bounded Weiner fan-out."""
     _require_sealed(tree)
     u = _node_locus(tree, s)
-    return 0 if u is None else _count_at_node(tree, u, ())[0]
+    return 0 if u is None else _count_at_node(tree, u)[0]
 
 
 def offline_single_nf_breakdown(tree: SuffixTree, s) -> NfBreakdown:
@@ -129,7 +146,7 @@ def offline_single_nf_breakdown(tree: SuffixTree, s) -> NfBreakdown:
     u = _node_locus(tree, s)
     if u is None:
         return NfBreakdown(0, frozenset(), frozenset(), {})
-    value, clean = _count_at_node(tree, u, ())
+    value, clean = _count_at_node(tree, u)
     right_unique = frozenset(clean)
     if not right_unique:
         return NfBreakdown(0, right_unique, frozenset(), {})
@@ -153,7 +170,9 @@ def rho(tree: SuffixTree, registry: ImplicitRegistry, locus: Locus) -> int:
     if tree.kind[u] == KIND_LEAF:
         return 2 if registry.deepest_implicit_on_edge(u) == d else 1
     if d == tree.depth_arr[u]:
-        return 1 + len(_count_at_node(tree, u, registry.loaded_edges())[1])
+        kind = tree.kind
+        return 1 + sum(1 for w in tree.child_map[u].values()
+                       if kind[w] == KIND_LEAF and not registry.has_implicit_on_edge(w))
     return 1
 
 
@@ -172,44 +191,36 @@ def implicit_weiner_links(tree: SuffixTree, registry: ImplicitRegistry,
     return [ImplicitWeinerTarget(q, d + 1)]
 
 
-def online_single_nf(builder: OnlineBuilder, registry: ImplicitRegistry, s) -> int:
+def online_single_nf(builder: OnlineBuilder, s) -> int:
     """Net frequency of s against the text read so far, or against the
     sealed text once it is sealed. O(|s|)."""
     loc = builder.tree.locate(s)
     if loc is None:
         return 0
-    return _nf_at_locus(builder, registry, loc)
+    return _nf_at_locus(builder, loc)
 
 
-def _nf_at_locus(builder: OnlineBuilder, registry: ImplicitRegistry,
-                 locus: Locus) -> int:
+def _nf_at_locus(builder: OnlineBuilder, locus: Locus) -> int:
     tree = builder.tree
     u, d = locus
+    a = builder.active_depth()
     if tree.kind[u] != KIND_BRANCH or d != tree.depth_arr[u]:
         # Off a node only the longest repeated suffix can score: every
         # unique right extension is a net occurrence and nothing
         # subtracts, since a longer left extension would be a longer
-        # repeated suffix. At a node repeated left extensions are possible
-        # ("aabaababa" S="aba") and the full count below runs.
-        if d != builder.active_depth():
+        # repeated suffix. Its extensions are the text end and, on a leaf
+        # edge, the one occurrence further left. At a node repeated left
+        # extensions are possible ("aabaababa" S="aba") and the full
+        # count below runs.
+        if d != a or locus != builder.active_locus():
             return 0
-        return rho(tree, registry, locus) if locus == builder.active_locus() else 0
-    coincides = registry.member_at_depth(d) == u
-    phi, clean = _count_at_node(tree, u, registry.loaded_edges())
-    if not coincides:
-        return phi
-    phi += 1  # the text end is a unique right extension of S
-    q = registry.member_at_depth(d + 1)
-    if q is not None:
-        # the longer repeated suffix is x + S: its suffix of length d is
-        # the repeated suffix of length d, which is S here
-        phi -= 1  # both sides end the text, a vacuously unique pair
-        if tree.kind[q] == KIND_LEAF and registry.deepest_implicit_on_edge(q) == d + 1:
-            # symbol following x + S along its leaf edge; the occurrence
-            # aligned with the edge start gives its text position
-            y = builder.store._symbols[tree.start(q) - 1 + d + 1]
-            if y in clean:
-                phi -= 1
+        return 2 if tree.kind[u] == KIND_LEAF else 1
+    if d < a:
+        i = tree.start(builder.active_locus().node) - 1  # leftmost start of alpha
+        return _count_at_node(tree, u, i + d, i + a)[0]
+    phi = _count_at_node(tree, u)[0]
+    if d == a and locus == builder.active_locus():
+        phi += 1  # the text end is a unique right extension of S
     return phi
 
 
@@ -264,26 +275,28 @@ def offline_all_nf(tree: SuffixTree) -> list[NfReport]:
     return _reports(tree, _sweep(tree), None)
 
 
-def online_all_nf(builder: OnlineBuilder, registry: ImplicitRegistry) -> list[NfReport]:
+def online_all_nf(builder: OnlineBuilder) -> list[NfReport]:
     """Every string with positive net frequency against the text so far
     (or the sealed text), leftmost occurrences, ascending by (start, end).
     O(n).
 
-    The memberless sweep, then what each member changes. A leaf edge
-    carrying a member certifies no unique extension: its parent v loses
+    The memberless sweep, then what the repeated suffixes change, found
+    by one walk over them from the active point (suffix_loci). A leaf
+    edge carrying one certifies no unique extension: its parent v loses
     the 1 it was paid, slink(v) gets back the 1 it gave for the same
     symbol, and v gets back the 1 each Weiner source with a clean leaf on
     that symbol took.
 
-    A member ending exactly on a branching node v has the text end as
-    one more unique extension, after str(v) and after str(slink(v))
-    alike: +1 at v, -1 at slink(v). Those members form one suffix-link
-    chain, from the longest (tau) down to depth 1, because a suffix of a
-    repeated right-branching suffix is one too. So the pairs cancel
-    except at the root, which is never reported, and at tau, the single
-    string whose subtraction also involves a mid-edge member; its slot is
-    recomputed by the single-string count. The longest repeated suffix,
-    when it ends mid-edge, is reported straight from rho.
+    A repeated suffix ending exactly on a branching node v has the text
+    end as one more unique extension, after str(v) and after
+    str(slink(v)) alike: +1 at v, -1 at slink(v). Those suffixes form one
+    suffix-link chain, from the longest (tau) down to depth 1, because a
+    suffix of a repeated right-branching suffix is one too. So the pairs
+    cancel except at the root, which is never reported, and at tau, the
+    single string whose subtraction also involves a mid-edge repeated
+    suffix; its slot is recomputed by the single-string count. The
+    longest repeated suffix, when it ends mid-edge, is reported with the
+    single-string count too.
     """
     tree = builder.tree
     phi = _sweep(tree)
@@ -295,13 +308,12 @@ def online_all_nf(builder: OnlineBuilder, registry: ImplicitRegistry) -> list[Nf
     child_map = tree.child_map
     wlink_map = tree.wlink_map
     syms = builder.store._symbols
-    loaded = registry.loaded_edges()
+    loci = suffix_loci(builder)
+    loaded = {w for w in loci if kind[w] == KIND_LEAF}
     for w in loaded:
         v = parent[w]
-        if kind[w] != KIND_LEAF or v == ROOT:
-            # only leaf edges certify extensions; the sweep pays the root
-            # nothing
-            continue
+        if v == ROOT:
+            continue  # the sweep pays the root nothing
         phi[v] -= 1
         y = syms[edge_start[w]]
         u = slink_arr[v]
@@ -314,15 +326,16 @@ def online_all_nf(builder: OnlineBuilder, registry: ImplicitRegistry) -> list[Nf
                 p = child_map[src].get(y)
                 if p is not None and kind[p] == KIND_LEAF and p not in loaded:
                     phi[v] += 1
-    tau = registry.longest_coinciding()
-    if tau is not None:
-        vt, dt = tau
-        phi[vt] = _nf_at_locus(builder, registry, Locus(vt, dt))
+    a = len(loci)
+    for k, v in enumerate(loci):
+        if kind[v] == KIND_BRANCH and a - k == depth_arr[v]:
+            phi[v] = _nf_at_locus(builder, Locus(v, a - k))  # tau
+            break
     extra = None
-    if builder.active_depth() > 0:
+    if a:
         aloc = builder.active_locus()
         node, d = aloc
         if kind[node] != KIND_BRANCH or d != depth_arr[node]:
             i = tree.start(node)
-            extra = NfReport(Occurrence(i, i + d - 1), rho(tree, registry, aloc), node)
+            extra = NfReport(Occurrence(i, i + d - 1), _nf_at_locus(builder, aloc), node)
     return _reports(tree, phi, extra)

@@ -2,10 +2,9 @@
 
 Ukkonen-style update with an explicit active point, open leaf ends, and
 suffix links. Weiner links are recorded as the mirror of every suffix
-link assignment. One phase loop serves every entry point; an observer
-(the implicit-locus registry) sees construction through one hook,
-phase_ended(n, c, a), called after each phase with the text length n,
-the symbol c at n - 1 and the active depth a.
+link assignment. One phase loop serves every entry point, and nothing
+observes it: the repeated suffixes and their loci are read off the
+active point when a query needs them (see implicit_registry).
 """
 
 from __future__ import annotations
@@ -24,16 +23,11 @@ class OnlineBuilder:
     active_edge is a 0-based text position of the next unmatched symbol.
     Invariant between extensions: remainder equals the length of the
     active string (the longest repeated suffix).
-
-    registry, when set, is any object with the hook named in the module
-    docstring. The hook is looked up on it at every phase, so a wrapper
-    installed on the instance sees every call.
     """
 
     def __init__(self, store: TextStore):
         self.store = store
         self.tree = SuffixTree(store)
-        self.registry = None
         self.active_node = ROOT
         self.active_edge = 0
         self.active_length = 0
@@ -113,7 +107,6 @@ class OnlineBuilder:
         slink_arr = tree.slink_arr
         child_map = tree.child_map
         wlink_map = tree.wlink_map
-        reg = self.registry
 
         active_node = self.active_node
         active_edge = self.active_edge
@@ -196,8 +189,6 @@ class OnlineBuilder:
                     elif active_node != ROOT:
                         sl = slink_arr[active_node]
                         active_node = sl if sl != NIL else ROOT
-                if reg is not None:
-                    reg.phase_ended(n, c, remainder)
         except BaseException as exc:
             self._failure = exc
             raise

@@ -64,7 +64,7 @@ def _distinct_substrings(text):
 
 
 def _online_rows(ix):
-    return {(tuple_of(ix, r), r.nf) for r in online_all_nf(ix.builder, ix.registry)}
+    return {(tuple_of(ix, r), r.nf) for r in online_all_nf(ix.builder)}
 
 
 def tuple_of(ix, report):
@@ -126,7 +126,7 @@ def test_criterion_3_exhaustive_online_binary():
                 text = bytes(tup)
                 ix = _live(text)
                 for s in _distinct_substrings(text):
-                    assert online_single_nf(ix.builder, ix.registry, s) == oracle_nf(text, s), (text, s)
+                    assert online_single_nf(ix.builder, s) == oracle_nf(text, s), (text, s)
                 assert _online_rows(ix) == set(map(tuple, oracle_all_nf(text))), text
                 texts += 1
         elapsed = time.perf_counter() - t0
@@ -287,7 +287,7 @@ def test_criterion_7_positive_count_bound():
         for text in named + randoms + short_binary:
             n = len(text)
             ix = _live(text)
-            assert len(online_all_nf(ix.builder, ix.registry)) <= n, text
+            assert len(online_all_nf(ix.builder)) <= n, text
             ix.seal()
             assert len(offline_all_nf(ix.tree)) <= n, text
             checked += 1

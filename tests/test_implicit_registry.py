@@ -170,7 +170,6 @@ def test_recompute_matches_incremental_records():
         text = bytes(rng.randrange(3) + 97 for _ in range(n))
         ix = live(text)
         reg = ix.registry
-        reg._sync()
         assert reg.recompute_member_map(ix.active_depth()) == reg._member_node
 
 

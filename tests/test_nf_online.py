@@ -33,7 +33,7 @@ def live(text):
 
 
 def query(ix, s):
-    return online_single_nf(ix.builder, ix.registry, s)
+    return online_single_nf(ix.builder, s)
 
 
 def test_longest_repeated_suffix_on_a_branching_node():
@@ -55,7 +55,7 @@ def test_two_symbol_stream_has_no_positive_strings():
     ix = live(b"ab")
     assert query(ix, b"a") == 0
     assert query(ix, b"b") == 0
-    assert online_all_nf(ix.builder, ix.registry) == []
+    assert online_all_nf(ix.builder) == []
 
 
 def test_worked_text_streaming_values():
@@ -65,7 +65,7 @@ def test_worked_text_streaming_values():
     assert query(ix, b"ababa") == 2
     assert query(ix, b"ab") == 0
     assert query(ix, b"zzz") == 0
-    rows = [(r.occurrence.i, r.occurrence.j, r.nf) for r in online_all_nf(ix.builder, ix.registry)]
+    rows = [(r.occurrence.i, r.occurrence.j, r.nf) for r in online_all_nf(ix.builder)]
     assert rows == [(1, 4, 2), (2, 5, 2), (5, 9, 2)]
 
 
@@ -134,7 +134,7 @@ def test_all_matches_oracle_after_every_prefix():
         for k in range(n):
             ix.extend(text[k])
             pref = text[:k + 1]
-            rows = online_all_nf(ix.builder, ix.registry)
+            rows = online_all_nf(ix.builder)
             got = {(tuple(pref[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
             assert got == set(map(tuple, oracle_all_nf(pref))), pref
 
@@ -166,7 +166,7 @@ def test_property_single_value_matches_oracle(text, s):
 def test_property_all_rows_match_oracle(text):
     text = bytes(c % 2 + 97 for c in text)
     ix = live(text)
-    rows = online_all_nf(ix.builder, ix.registry)
+    rows = online_all_nf(ix.builder)
     got = {(tuple(text[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
     assert got == set(map(tuple, oracle_all_nf(text)))
 
@@ -176,7 +176,7 @@ def test_property_all_rows_match_oracle(text):
 def test_property_positive_count_bounded_by_length(text):
     text = bytes(c % 2 + 97 for c in text)
     ix = live(text)
-    assert len(online_all_nf(ix.builder, ix.registry)) <= len(text)
+    assert len(online_all_nf(ix.builder)) <= len(text)
 
 
 def test_all_matches_oracle_on_every_ternary_text():
@@ -200,7 +200,7 @@ def test_online_entry_points_answer_sealed_indexes():
     for text in texts:
         ix = live(text)
         ix.seal()
-        rows = online_all_nf(ix.builder, ix.registry)
+        rows = online_all_nf(ix.builder)
         assert rows == offline_all_nf(ix.tree) == ix.all_nf()
         got = {(tuple(text[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
         assert got == set(map(tuple, oracle_all_nf(text, sealed=True)))
@@ -211,3 +211,37 @@ def test_online_entry_points_answer_sealed_indexes():
             assert value == oracle_nf(text, s, sealed=True), (text, s)
         if text in (b"ab", b"abcdef", b"a"):
             assert rows == []
+
+
+def tandem_stream(rng, sigma):
+    """Random gaps and tandem repeats of short random units over sigma
+    symbols: the repeated suffixes grow long inside each repeat and cover
+    several nodes' leaf children at once."""
+    alphabet = bytes(range(97, 97 + sigma))
+    parts = []
+    for _ in range(rng.randrange(2, 4)):
+        parts.append(bytes(rng.choice(alphabet) for _ in range(rng.randrange(1, 6))))
+        unit = bytes(rng.choice(alphabet) for _ in range(rng.randrange(1, 4)))
+        parts.append(unit * rng.randrange(2, 9))
+    return b"".join(parts)
+
+
+def test_single_matches_oracle_on_loaded_streams():
+    # After every append: every suffix up to one longer than the longest
+    # repeated suffix (each node on the chain counts against the leftmost
+    # occurrence of the active string at its own depth), and random
+    # substrings. Moving either end of that range by one fails here.
+    rng = random.Random(67)
+    for k in range(48):
+        text = tandem_stream(rng, (2, 3, 4, 26)[k % 4])
+        ix = NetFrequencyIndex()
+        for m in range(1, len(text) + 1):
+            ix.extend(text[m - 1])
+            pref = text[:m]
+            a = ix.active_depth()
+            qs = {pref[m - length:] for length in range(1, min(a + 1, m) + 1)}
+            for _ in range(4):
+                i = rng.randrange(m)
+                qs.add(pref[i:rng.randrange(i + 1, m + 1)])
+            for s in qs:
+                assert query(ix, s) == oracle_nf(pref, s), (pref, s)

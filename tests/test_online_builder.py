@@ -1,4 +1,4 @@
-"""Construction paths: per-symbol vs bulk, the observer hook, sealing."""
+"""Construction paths: per-symbol vs bulk, the active point, failures, sealing."""
 
 import random
 
@@ -44,8 +44,6 @@ def test_bulk_and_per_symbol_builds_agree():
         b = fresh()
         for c in text:
             b.extend(c)
-        a.registry._sync()
-        b.registry._sync()
         assert tree_state(a) == tree_state(b)
 
 
@@ -61,55 +59,33 @@ def test_mixed_bulk_segments_agree_with_per_symbol():
         a.extend_text(text[cut + 1:])
         b = fresh()
         b.extend_text(text)
-        a.registry._sync()
-        b.registry._sync()
         assert tree_state(a) == tree_state(b)
 
 
-class Forwarder:
-    """Test-local observer: passes each hook call on to a target."""
-
-    def __init__(self, target):
-        self.target = target
-
-    def phase_ended(self, n, c, a):
-        self.target.phase_ended(n, c, a)
-
-
 def test_event_stream_replays_into_equal_registry():
+    # the registry view of a bare builder fed the same stream agrees with
+    # the index's after every append
     rng = random.Random(9)
     for _ in range(25):
         n = rng.randrange(1, 80)
         text = bytes(rng.randrange(2) + 97 for _ in range(n))
         builder = OnlineBuilder(TextStore())
-        shadow = ImplicitRegistry(builder.store, builder.tree)
-        builder.registry = Forwarder(shadow)
+        shadow = ImplicitRegistry(builder)
         ix = fresh()
         for c in text:
             builder.extend(c)
             ix.extend(c)
+            assert ix.registry._member_node == shadow._member_node
+            assert ix.registry._edge_members == shadow._edge_members
         shadow.verify(builder.active_depth())
-        ix.registry._sync()
-        assert ix.registry._member_node == shadow._member_node
-        assert ix.registry._edge_members == shadow._edge_members
 
 
-class Recorder:
-    """Checks each hook call's fields against the text as it is called."""
-
-    def __init__(self, codes):
-        self.codes = codes
-        self.calls = []
-
-    def phase_ended(self, n, c, a):
-        self.calls.append((n, c, a))
-        assert n == len(self.calls)
-        assert c == self.codes[n - 1]
-        repeated = oracle_repeated_suffixes(self.codes[:n])
-        assert a == (repeated[0][0] if repeated else 0)
+def longest_repeated(codes):
+    repeated = oracle_repeated_suffixes(codes)
+    return repeated[0][0] if repeated else 0
 
 
-def test_event_types_carry_usable_fields():
+def test_active_depth_is_the_longest_repeated_suffix_after_every_update():
     rng = random.Random(11)
     texts = [b"aabaabab", b"abcabxabcd", b"aaaa"]
     texts += [bytes(rng.randrange(3) + 97 for _ in range(rng.randrange(1, 40)))
@@ -117,39 +93,39 @@ def test_event_types_carry_usable_fields():
     for text in texts:
         for bulk in (False, True):
             builder = OnlineBuilder(TextStore())
-            codes = list(text) + [builder.store.sentinel]
-            rec = builder.registry = Recorder(codes)
-            if bulk:
-                builder.extend_text(text)
-            else:
-                for c in text:
-                    builder.extend(c)
-            assert len(rec.calls) == len(text)
+            k = 0
+            while k < len(text):
+                step = rng.randrange(1, 6) if bulk else 1
+                if bulk:
+                    builder.extend_text(text[k:k + step])
+                else:
+                    builder.extend(text[k])
+                k = min(len(text), k + step)
+                assert len(builder.store) == k
+                assert builder.store._symbols[k - 1] == text[k - 1]
+                assert builder.active_depth() == longest_repeated(text[:k])
             builder.seal()
-            assert rec.calls[-1] == (len(codes), builder.store.sentinel, 0)
+            assert builder.store._symbols[-1] == builder.store.sentinel
+            assert builder.active_depth() == 0
 
 
-def test_hooks_wrapped_on_the_registry_instance_see_every_call():
-    # tooling wraps the hook on a built index's registry instance; a
-    # builder that cached the bound method earlier would bypass it
+def test_registry_view_reads_the_current_text_after_every_update():
+    # the view keeps nothing between calls, so every update, bulk or not,
+    # shows in the next read
     ix = fresh()
-    ix.extend_text(b"ab")  # two phases
-    calls = []
-    phase_ended = ix.registry.phase_ended
-
-    def counted(*args):
-        calls.append(args)
-        return phase_ended(*args)
-
-    ix.registry.phase_ended = counted
-    ix.extend(ord("a"))
-    assert len(calls) == 1
-    ix.extend_text(b"abaababa")
-    assert len(calls) == 9
-    ix.extend(ord("b"))
-    assert len(calls) == 10
+    done = b""
+    for part in (b"ab", b"a", b"abaababa", b"b"):
+        if len(part) == 1:
+            ix.extend(part[0])
+        else:
+            ix.extend_text(part)
+        done += part
+        assert ix.registry.member_count() == longest_repeated(done)
+        assert [m[0] for m in ix.registry.members()] == list(
+            range(longest_repeated(done), 0, -1))
+        ix.registry.verify(ix.active_depth())
     ix.seal()
-    assert [n for n, _c, _a in calls] == list(range(3, len(ix) + 1))
+    assert ix.registry.members() == []
     ix.registry.verify(ix.active_depth())
 
 
@@ -218,30 +194,33 @@ def test_builder_rejects_non_integer_symbols():
     assert rows == set(map(tuple, oracle_all_nf(text, sealed=True)))
 
 
-class HookFailure(Exception):
+class ArenaFailure(Exception):
     pass
+
+
+class FailingKind(bytearray):
+    """Node-kind column of the arena whose fifth append raises."""
+
+    calls = 0
+
+    def append(self, item):
+        self.calls += 1
+        if self.calls == 5:
+            raise ArenaFailure("fifth node")
+        super().append(item)
 
 
 def test_failure_mid_phase_leaves_the_index_unusable():
     ix = fresh()
-    phase_ended = ix.registry.phase_ended
-    calls = []
-
-    def failing(*args):
-        calls.append(args)
-        if len(calls) == 5:
-            raise HookFailure("fifth phase")
-        return phase_ended(*args)
-
-    ix.registry.phase_ended = failing
-    with pytest.raises(HookFailure):
+    kind = ix.tree.kind = FailingKind(ix.tree.kind)
+    with pytest.raises(ArenaFailure):
         ix.extend_text(b"abcabxabcd")
     for op in (lambda: ix.extend(ord("a")), lambda: ix.extend_text(b"ab"),
                ix.seal, lambda: ix.single_nf(b"ab"), ix.all_nf):
         with pytest.raises(RuntimeError) as err:
             op()
-        assert isinstance(err.value.__cause__, HookFailure)
-    assert len(calls) == 5
+        assert isinstance(err.value.__cause__, ArenaFailure)
+    assert kind.calls == 5
 
 
 def test_every_branching_node_gets_a_suffix_link():

@@ -1,7 +1,7 @@
 """Scaling gate for the O(|S|) single query: on a^k b every a^m sits on a
 branching node of depth m, so locating it crosses m nodes, and its count
-reads a constant number of children and links. The registry has nothing
-to sync, since b leaves no repeated suffix. The text is built once,
+reads a constant number of children and links. b leaves no repeated
+suffix, so the live count tests no leaf range. The text is built once,
 untimed; a batch of queries a^m is timed for m = k/8, k/4 and k/2, live
 and sealed, and each doubling of m must cost between 1.5x and 3.0x, the
 window of the registry gates (tests/test_registry_scaling.py). The sizes

@@ -1,5 +1,6 @@
-"""Registry groups under queries: members moved by the query-time sync,
-and the filing of groups by the text length at which they cross."""
+"""The registry view on loaded streams: the loci the walk from the
+active point finds equal a descent from the root for every member, on
+tandem streams and after a bulk build."""
 
 import random
 
@@ -11,7 +12,7 @@ DNA = b"acgt"
 def tandem_text(rng):
     """Random gaps and tandem repeats of four units (periods 1 to 4), then
     one more repeat of the period-1 unit: its members sit on the nodes the
-    first run left behind and move at every query."""
+    first run left behind, one deeper at every append."""
     units = [b"a", b"cg", b"tac", b"gatc"]
     rng.shuffle(units)
     parts = []
@@ -24,9 +25,9 @@ def tandem_text(rng):
 
 
 def test_moved_members_land_in_start_order():
-    # A sync can move members of several groups onto one edge, some deeper
-    # than members already there; each group must stay in start order,
-    # which verify() checks against a from-scratch recomputation.
+    # Members of several lengths share edges, some deeper than others;
+    # verify() checks every locus, in start order, against a
+    # from-scratch recomputation.
     rng = random.Random(41)
     for _ in range(200):
         text = tandem_text(rng)
@@ -38,18 +39,15 @@ def test_moved_members_land_in_start_order():
                     ix.registry.verify(ix.active_depth())
 
 
-def test_filing_dropped_by_a_bulk_build_is_rebuilt():
-    # A long bulk build files far more groups than stay alive, so the
-    # filing is dropped; the next sync checks every group and files them
-    # again, after which queries between appends use the filing.
+def test_verify_after_a_bulk_build_and_every_append():
+    # a long bulk build, then per-symbol appends that re-read the period,
+    # checked after the build and after every append
     rng = random.Random(43)
     text = (b"abaab" * 400) + bytes(rng.choice(DNA) for _ in range(500)) + b"abaab" * 60
     ix = NetFrequencyIndex()
     ix.extend_text(text)
     reg = ix.registry
-    assert reg._due is None
     reg.verify(ix.active_depth())
-    assert reg._due is not None
     for c in b"abaabab" * 20 + b"c":
         ix.extend(c)
         reg.verify(ix.active_depth())
