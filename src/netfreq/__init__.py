@@ -15,13 +15,11 @@ from .implicit_registry import (
 from .index import NetFrequencyIndex
 from .nf_query import (
     NfReport,
-    implicit_weiner_links,
     offline_all_nf,
     offline_single_nf,
     offline_single_nf_breakdown,
     online_all_nf,
     online_single_nf,
-    rho,
 )
 from .nf_oracle import (
     naive_implicit_tree,
@@ -48,7 +46,6 @@ __all__ = [
     "SuffixTree",
     "TextStore",
     "as_symbols",
-    "implicit_weiner_links",
     "naive_implicit_tree",
     "offline_all_nf",
     "offline_single_nf",
@@ -58,6 +55,5 @@ __all__ = [
     "oracle_all_nf",
     "oracle_nf",
     "oracle_repeated_suffixes",
-    "rho",
     "__version__",
 ]

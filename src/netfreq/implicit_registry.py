@@ -13,8 +13,10 @@ amortized for the whole chain.
 ImplicitRegistry is a read-only view over that walk, computed on demand
 at every call. The counts in nf_query need none of it for a single
 query (the active depth and the leftmost start of the active string
-suffice) and one walk for all_nf; the view serves inspection, the CLI
-and the tests.
+suffice) and one walk for all_nf; the view serves inspection
+(NetFrequencyIndex.dump_registry), the benchmark's tracer and the tests.
+Like the queries, every read raises RuntimeError once an update has
+failed mid-phase.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ def suffix_loci(builder: OnlineBuilder) -> list[int]:
     at the root, then moves down while the point is at or past the end
     of the edge below (a leaf edge is open, so it never is). Node depth
     drops by at most one per suffix link, so the moves down total O(A)."""
+    builder.ensure_usable()
     tree = builder.tree
     syms = builder.store._symbols
     child_map = tree.child_map
@@ -102,11 +105,13 @@ class ImplicitRegistry:
     # -- queries -----------------------------------------------------------
 
     def member_count(self) -> int:
+        self.builder.ensure_usable()
         return self.builder.active_depth()
 
     def member_at_depth(self, depth: int):
         """Edge child of the locus of the repeated suffix of the given
         length, or None. There is at most one per length. O(depth)."""
+        self.builder.ensure_usable()
         if depth <= 0 or depth > self.builder.active_depth():
             return None
         return self._descend(depth)
@@ -137,14 +142,6 @@ class ImplicitRegistry:
         starts = self._edge_members.get(child, ())
         n = len(self.store)
         return [n - p for p in reversed(starts)]
-
-    def deepest_implicit_on_edge(self, child: int):
-        """Largest implicit depth on the edge into child, or None."""
-        depths = self.implicit_on_edge(child)
-        return depths[-1] if depths else None
-
-    def has_implicit_on_edge(self, child: int) -> bool:
-        return bool(self.implicit_on_edge(child))
 
     def coincides_with_branching(self, u: int) -> bool:
         """True iff str(u) itself is a repeated suffix of the current text."""
@@ -210,6 +207,7 @@ class ImplicitRegistry:
         """From-scratch loci of all repeated suffixes: walk each suffix of
         the active string down from the root by skip/count. O(depth) per
         member; for tests only."""
+        self.builder.ensure_usable()
         n = len(self.store)
         return {n - length: self._descend(length)
                 for length in range(active_depth, 0, -1)}
@@ -218,6 +216,7 @@ class ImplicitRegistry:
         """Assert that the walk from the active point finds the same loci
         as a descent from the root for every member, and that the classes
         run in chain order."""
+        self.builder.ensure_usable()
         assert self.builder.active_depth() == active_depth, (
             f"active depth {self.builder.active_depth()}, expected {active_depth}")
         expect = self.recompute_member_map(active_depth)

@@ -45,19 +45,18 @@ class NetFrequencyIndex:
 
     def single_nf(self, s) -> int:
         """Net frequency of s against the current text."""
-        if self.builder._failure is not None:  # ensure_usable(), inlined on the hot path
-            self.builder.ensure_usable()
         return online_single_nf(self.builder, s)
 
     def all_nf(self) -> list[NfReport]:
         """All strings of positive net frequency, ascending by occurrence."""
-        self.builder.ensure_usable()
         return online_all_nf(self.builder)
 
     def active_locus(self) -> Locus:
+        self.builder.ensure_usable()
         return self.builder.active_locus()
 
     def active_depth(self) -> int:
+        self.builder.ensure_usable()
         return self.builder.active_depth()
 
     def node_count(self) -> int:

@@ -31,7 +31,10 @@ them is needed for a single query. At a branching node u of depth d:
 - for d = A, str(u) is alpha exactly when alpha's locus is u, and then
   gains the text end.
 
-Off a node only alpha can score (see _nf_at_locus).
+_live_count holds this rule for both queries. Off a node only alpha can
+score (see _nf_at_locus). online_all_nf runs the sealed sweep, then
+recounts with _live_count the few nodes whose count the repeated
+suffixes change, found by one walk from the active point.
 
 The subtraction conditions are deliberately symmetric: a pair (x, y) is
 discounted only when y is a unique right extension of both xS and S.
@@ -49,9 +52,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .implicit_registry import ImplicitRegistry, suffix_loci
+from .implicit_registry import suffix_loci
 from .online_builder import OnlineBuilder
-from .suffix_tree import KIND_BRANCH, KIND_LEAF, ROOT, Locus, SuffixTree
+from .suffix_tree import KIND_BRANCH, KIND_LEAF, NIL, ROOT, Locus, SuffixTree
 from .text_store import Occurrence
 
 
@@ -78,13 +81,6 @@ class NfBreakdown(NamedTuple):
     right_unique: frozenset
     left_repeated: frozenset
     right_unique_by_left: dict
-
-
-class ImplicitWeinerTarget(NamedTuple):
-    """Locus of a repeated suffix of the form x + S, one deeper than the
-    queried S; node is the edge child holding it."""
-    node: int
-    depth: int
 
 
 # -- the count at one branching node ----------------------------------------
@@ -161,39 +157,24 @@ def offline_single_nf_breakdown(tree: SuffixTree, s) -> NfBreakdown:
 
 # -- live queries -------------------------------------------------------------
 
-def rho(tree: SuffixTree, registry: ImplicitRegistry, locus: Locus) -> int:
-    """Number of unique right extensions of the repeated suffix ending at
-    locus, counting the text end as one. Always >= 1."""
-    u, d = locus
-    if registry.member_at_depth(d) != u:
-        raise ValueError("locus is not a repeated-suffix locus")
-    if tree.kind[u] == KIND_LEAF:
-        return 2 if registry.deepest_implicit_on_edge(u) == d else 1
-    if d == tree.depth_arr[u]:
-        kind = tree.kind
-        return 1 + sum(1 for w in tree.child_map[u].values()
-                       if kind[w] == KIND_LEAF and not registry.has_implicit_on_edge(w))
-    return 1
-
-
-def implicit_weiner_links(tree: SuffixTree, registry: ImplicitRegistry,
-                          locus: Locus) -> list[ImplicitWeinerTarget]:
-    """Loci of repeated suffixes x + S for the string S ending exactly at
-    the branching node locus.node. At most one exists: the repeated
-    suffix one longer than S, whose tail of length |S| is S itself."""
-    u, d = locus
-    if tree.kind[u] != KIND_BRANCH or d != tree.depth_arr[u] \
-            or not registry.coincides_with_branching(u):
-        raise ValueError("locus must coincide with a branching node")
-    q = registry.member_at_depth(d + 1)
-    if q is None:
-        return []
-    return [ImplicitWeinerTarget(q, d + 1)]
+def _live_count(tree: SuffixTree, u: int, d: int, a: int, ia: int, alpha: int) -> int:
+    """Net frequency of str(u), u a branching node of depth d, against a
+    text whose longest repeated suffix alpha has length a, leftmost start
+    ia (0-based) and locus on the edge into alpha. ia and alpha are read
+    only when d <= a."""
+    if d < a:
+        return _count_at_node(tree, u, ia + d, ia + a)[0]
+    phi = _count_at_node(tree, u)[0]
+    if d == a and u == alpha:
+        phi += 1  # str(u) is alpha: the text end is a unique right extension
+    return phi
 
 
 def online_single_nf(builder: OnlineBuilder, s) -> int:
     """Net frequency of s against the text read so far, or against the
     sealed text once it is sealed. O(|s|)."""
+    if builder._failure is not None:  # ensure_usable(), inlined on the hot path
+        builder.ensure_usable()
     loc = builder.tree.locate(s)
     if loc is None:
         return 0
@@ -215,13 +196,10 @@ def _nf_at_locus(builder: OnlineBuilder, locus: Locus) -> int:
         if d != a or locus != builder.active_locus():
             return 0
         return 2 if tree.kind[u] == KIND_LEAF else 1
-    if d < a:
-        i = tree.start(builder.active_locus().node) - 1  # leftmost start of alpha
-        return _count_at_node(tree, u, i + d, i + a)[0]
-    phi = _count_at_node(tree, u)[0]
-    if d == a and locus == builder.active_locus():
-        phi += 1  # the text end is a unique right extension of S
-    return phi
+    if d > a:
+        return _live_count(tree, u, d, a, NIL, NIL)
+    alpha = builder.active_locus().node
+    return _live_count(tree, u, d, a, tree.start(alpha) - 1, alpha)
 
 
 # -- all strings ------------------------------------------------------------
@@ -280,62 +258,45 @@ def online_all_nf(builder: OnlineBuilder) -> list[NfReport]:
     (or the sealed text), leftmost occurrences, ascending by (start, end).
     O(n).
 
-    The memberless sweep, then what the repeated suffixes change, found
-    by one walk over them from the active point (suffix_loci). A leaf
-    edge carrying one certifies no unique extension: its parent v loses
-    the 1 it was paid, slink(v) gets back the 1 it gave for the same
-    symbol, and v gets back the 1 each Weiner source with a clean leaf on
-    that symbol took.
+    The memberless sweep gives every node its sealed count. A node's live
+    count differs only when a leaf child's suffix starts inside alpha's
+    leftmost occurrence; that leaf either carries a repeated suffix, so
+    the walk over them from the active point (suffix_loci) meets its
+    parent, or str(node) is itself a repeated suffix. The suffix-link
+    target of such a parent has a loaded leaf of its own (the suffix one
+    position later), so the walk meets it too. Those parents are
+    recounted with the single-string rule.
 
-    A repeated suffix ending exactly on a branching node v has the text
-    end as one more unique extension, after str(v) and after
-    str(slink(v)) alike: +1 at v, -1 at slink(v). Those suffixes form one
-    suffix-link chain, from the longest (tau) down to depth 1, because a
-    suffix of a repeated right-branching suffix is one too. So the pairs
-    cancel except at the root, which is never reported, and at tau, the
-    single string whose subtraction also involves a mid-edge repeated
-    suffix; its slot is recomputed by the single-string count. The
+    The repeated suffixes ending exactly on branching nodes form one
+    suffix-link chain, from the longest (tau) down to depth 1. Above tau
+    the text end, one more unique extension of str(v), and the one symbol
+    longer repeated suffix x str(v), which takes it back, cancel, so
+    those nodes keep their sweep value and only tau is recounted. The
     longest repeated suffix, when it ends mid-edge, is reported with the
-    single-string count too.
+    single-string count.
     """
+    builder.ensure_usable()
     tree = builder.tree
     phi = _sweep(tree)
+    loci = suffix_loci(builder)
+    a = len(loci)
+    if not a:
+        return _reports(tree, phi, None)
     kind = tree.kind
     parent = tree.parent
-    edge_start = tree.edge_start
     depth_arr = tree.depth_arr
-    slink_arr = tree.slink_arr
-    child_map = tree.child_map
-    wlink_map = tree.wlink_map
-    syms = builder.store._symbols
-    loci = suffix_loci(builder)
-    loaded = {w for w in loci if kind[w] == KIND_LEAF}
-    for w in loaded:
-        v = parent[w]
-        if v == ROOT:
-            continue  # the sweep pays the root nothing
-        phi[v] -= 1
-        y = syms[edge_start[w]]
-        u = slink_arr[v]
-        p = child_map[u].get(y)
-        if p is not None and kind[p] == KIND_LEAF:
-            phi[u] += 1
-        wm = wlink_map[v]
-        if wm:
-            for src in wm.values():
-                p = child_map[src].get(y)
-                if p is not None and kind[p] == KIND_LEAF and p not in loaded:
-                    phi[v] += 1
-    a = len(loci)
+    recount = {parent[w] for w in loci if kind[w] == KIND_LEAF}
     for k, v in enumerate(loci):
         if kind[v] == KIND_BRANCH and a - k == depth_arr[v]:
-            phi[v] = _nf_at_locus(builder, Locus(v, a - k))  # tau
+            recount.add(v)  # tau
             break
+    recount.discard(ROOT)
+    alpha = loci[0]
+    ia = tree.start(alpha) - 1
+    for v in recount:
+        phi[v] = _live_count(tree, v, depth_arr[v], a, ia, alpha)
     extra = None
-    if a:
-        aloc = builder.active_locus()
-        node, d = aloc
-        if kind[node] != KIND_BRANCH or d != depth_arr[node]:
-            i = tree.start(node)
-            extra = NfReport(Occurrence(i, i + d - 1), _nf_at_locus(builder, aloc), node)
+    if kind[alpha] != KIND_BRANCH or a != depth_arr[alpha]:
+        extra = NfReport(Occurrence(ia + 1, ia + a),
+                         _nf_at_locus(builder, Locus(alpha, a)), alpha)
     return _reports(tree, phi, extra)

@@ -43,8 +43,8 @@ def test_run_text_leaf_edge_progression():
     child = ix.tree.child(ROOT, ord("a"))
     assert ix.registry.implicit_on_edge(child) == [1, 2, 3]
     assert ix.registry.edge_progression(child) == (1, 1, 3)
-    assert ix.registry.deepest_implicit_on_edge(child) == 3
-    assert ix.registry.has_implicit_on_edge(child)
+    assert ix.registry.implicit_on_edge(child)[-1] == 3
+    assert bool(ix.registry.implicit_on_edge(child))
 
 
 def test_unique_symbols_leave_every_edge_clean():
@@ -52,9 +52,8 @@ def test_unique_symbols_leave_every_edge_clean():
     assert ix.registry.members() == []
     assert ix.registry.member_count() == 0
     for u in (1, 2):
-        assert not ix.registry.has_implicit_on_edge(u)
+        assert not bool(ix.registry.implicit_on_edge(u))
         assert ix.registry.implicit_on_edge(u) == []
-        assert ix.registry.deepest_implicit_on_edge(u) is None
 
 
 def test_coincidence_at_branching_nodes():

@@ -1,4 +1,5 @@
-"""Streaming net frequency: rho, implicit Weiner targets, and oracle parity.
+"""Streaming net frequency: off-node counts, coinciding repeated
+suffixes, and oracle parity.
 
 The two hand-built regression texts at the top each pinned a real bug:
 "aabaababa" exercises a longest repeated suffix whose locus sits exactly
@@ -13,16 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netfreq import (
-    Locus,
     NetFrequencyIndex,
-    implicit_weiner_links,
     offline_all_nf,
     offline_single_nf,
     online_all_nf,
     online_single_nf,
     oracle_all_nf,
     oracle_nf,
-    rho,
 )
 
 
@@ -40,9 +38,6 @@ def test_longest_repeated_suffix_on_a_branching_node():
     ix = live(b"aabaababa")
     assert query(ix, b"aba") == 1
     assert oracle_nf(b"aabaababa", b"aba") == 1
-    # the shortcut value would have been 3
-    loc = ix.tree.locate(b"aba")
-    assert rho(ix.tree, ix.registry, loc) == 3
 
 
 def test_subtraction_requires_both_sides_unique():
@@ -75,39 +70,38 @@ def test_empty_query_raises():
         query(ix, b"")
 
 
-def test_rho_cases_on_a_run():
+def test_off_node_counts_on_a_run_and_an_internal_edge():
+    # Off a node only the longest repeated suffix scores: on a leaf edge
+    # with the text end and the occurrence further left, mid-way down an
+    # internal edge with the text end alone; shorter ones score nothing.
+    for text, expect in ((b"aaaa", {b"aaa": 2, b"aa": 0, b"a": 0}),
+                         (b"abcxabcyab", {b"ab": 1, b"abc": 2})):
+        ix = live(text)
+        for s, value in expect.items():
+            assert query(ix, s) == value == oracle_nf(text, s), (text, s)
     ix = live(b"aaaa")
-    child = ix.tree.child(0, ord("a"))
-    # deepest implicit node on the leaf edge counts the live suffix too
-    assert rho(ix.tree, ix.registry, Locus(child, 3)) == 2
-    assert rho(ix.tree, ix.registry, Locus(child, 2)) == 1
-    assert rho(ix.tree, ix.registry, Locus(child, 1)) == 1
-    with pytest.raises(ValueError):
-        rho(ix.tree, ix.registry, Locus(child, 4))  # not an implicit node
+    assert ix.tree.is_leaf(ix.tree.locate(b"aaa").node)
+    ix = live(b"abcxabcyab")
+    loc = ix.tree.locate(b"ab")
+    assert ix.tree.is_branching(loc.node) and loc.d < ix.tree.depth(loc.node)
 
 
 def test_implicit_weiner_targets_found_and_empty():
+    # the one-longer repeated suffix x + S of a coinciding S, when it exists
     ix = live(b"aabaa")
     loc = ix.tree.locate(b"a")
-    targets = implicit_weiner_links(ix.tree, ix.registry, loc)
-    assert [(t.node, t.depth) for t in targets] == [(ix.registry.member_at_depth(2), 2)]
+    assert ix.registry.coincides_with_branching(loc.node)
+    assert ix.registry.member_at_depth(2) == ix.tree.locate(b"aa").node
     # coinciding node with no one-longer repeated suffix
     ix2 = live(b"abcabdab")
     loc2 = ix2.tree.locate(b"ab")
     assert ix2.registry.coincides_with_branching(loc2.node)
-    assert implicit_weiner_links(ix2.tree, ix2.registry, loc2) == []
+    assert ix2.registry.member_at_depth(3) is None
     # longest repeated suffix on a branching node, nothing deeper to find
     ix3 = live(b"aabaababa")
     loc3 = ix3.tree.locate(b"aba")
-    assert implicit_weiner_links(ix3.tree, ix3.registry, loc3) == []
-
-
-def test_implicit_weiner_requires_coinciding_locus():
-    ix = live(b"aabaabababaa")
-    with pytest.raises(ValueError):
-        implicit_weiner_links(ix.tree, ix.registry, ix.tree.locate(b"ab"))
-    with pytest.raises(ValueError):
-        implicit_weiner_links(ix.tree, ix.registry, ix.tree.locate(b"ba"))
+    assert ix3.registry.coincides_with_branching(loc3.node)
+    assert ix3.registry.member_at_depth(4) is None
 
 
 def test_single_matches_oracle_after_every_prefix():

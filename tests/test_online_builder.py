@@ -9,10 +9,13 @@ from netfreq import (
     NetFrequencyIndex,
     OnlineBuilder,
     TextStore,
+    online_all_nf,
+    online_single_nf,
     oracle_all_nf,
     oracle_nf,
     oracle_repeated_suffixes,
 )
+from netfreq.implicit_registry import suffix_loci
 
 
 def fresh():
@@ -221,6 +224,26 @@ def test_failure_mid_phase_leaves_the_index_unusable():
             op()
         assert isinstance(err.value.__cause__, ArenaFailure)
     assert kind.calls == 5
+
+
+def test_failure_mid_phase_stops_every_read_below_the_facade():
+    # "abcabxabca" fails in the phase of its last "a": left alone, the
+    # reads below would answer from the stale active point ("abca" 0
+    # where the text gives 2, no rows where it has 2, active depth 0)
+    ix = fresh()
+    ix.tree.kind = FailingKind(ix.tree.kind)
+    with pytest.raises(ArenaFailure):
+        ix.extend_text(b"abcabxabca")
+    assert oracle_nf(b"abcabxabca", b"abca") == 2
+    reg = ix.registry
+    for op in (lambda: online_single_nf(ix.builder, b"abca"),
+               lambda: online_all_nf(ix.builder), lambda: suffix_loci(ix.builder),
+               ix.active_locus, ix.active_depth, reg.members, reg.member_count,
+               lambda: reg.member_at_depth(1), lambda: reg.implicit_on_edge(1),
+               reg.longest_coinciding, reg.dump, lambda: reg.verify(4)):
+        with pytest.raises(RuntimeError) as err:
+            op()
+        assert isinstance(err.value.__cause__, ArenaFailure)
 
 
 def test_every_branching_node_gets_a_suffix_link():
