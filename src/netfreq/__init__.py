@@ -15,8 +15,6 @@ from .implicit_registry import (
 from .index import NetFrequencyIndex
 from .nf_query import (
     NfReport,
-    offline_all_nf,
-    offline_single_nf,
     offline_single_nf_breakdown,
     online_all_nf,
     online_single_nf,
@@ -47,8 +45,6 @@ __all__ = [
     "TextStore",
     "as_symbols",
     "naive_implicit_tree",
-    "offline_all_nf",
-    "offline_single_nf",
     "offline_single_nf_breakdown",
     "online_all_nf",
     "online_single_nf",

@@ -60,9 +60,11 @@ class NetFrequencyIndex:
         return self.builder.active_depth()
 
     def node_count(self) -> int:
+        self.builder.ensure_usable()
         return self.tree.node_count()
 
     def dump_tree(self) -> str:
+        self.builder.ensure_usable()
         return self.tree.dump()
 
     def dump_registry(self) -> str:

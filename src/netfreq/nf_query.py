@@ -44,8 +44,8 @@ repeated suffix has one after S too, whose symbol is then not counted,
 so the Weiner sources need no test of their own.
 
 A sealed tree is the live case with an empty active string, so the
-online_* functions answer in both states; the offline_* functions are
-the same counts restricted to a sealed tree.
+online_* functions answer in both states. offline_single_nf_breakdown
+takes a sealed tree alone and returns the sets behind one count.
 """
 
 from __future__ import annotations
@@ -128,31 +128,21 @@ def _require_sealed(tree: SuffixTree) -> None:
         raise ValueError("offline queries need a sealed tree")
 
 
-def offline_single_nf(tree: SuffixTree, s) -> int:
-    """Net frequency of s against the sealed text. O(|s|) plus the
-    constant-bounded Weiner fan-out."""
-    _require_sealed(tree)
-    u = _node_locus(tree, s)
-    return 0 if u is None else _count_at_node(tree, u)[0]
-
-
 def offline_single_nf_breakdown(tree: SuffixTree, s) -> NfBreakdown:
-    """offline_single_nf plus the sets it is built from."""
+    """Net frequency of s against the sealed text, plus the sets it is
+    built from."""
     _require_sealed(tree)
     u = _node_locus(tree, s)
     if u is None:
         return NfBreakdown(0, frozenset(), frozenset(), {})
     value, clean = _count_at_node(tree, u)
-    right_unique = frozenset(clean)
-    if not right_unique:
-        return NfBreakdown(0, right_unique, frozenset(), {})
     kind = tree.kind
     child_map = tree.child_map
     wm = tree.wlink_map[u] or {}
     by_left = {x: frozenset(y for y, p in child_map[w].items()
                             if kind[p] == KIND_LEAF)
                for x, w in wm.items()}
-    return NfBreakdown(value, right_unique, frozenset(by_left), by_left)
+    return NfBreakdown(value, frozenset(clean), frozenset(by_left), by_left)
 
 
 # -- live queries -------------------------------------------------------------
@@ -244,13 +234,6 @@ def _reports(tree: SuffixTree, phi: list[int], extra) -> list[NfReport]:
         reports.append(extra)
     reports.sort(key=lambda r: r.occurrence)
     return reports
-
-
-def offline_all_nf(tree: SuffixTree) -> list[NfReport]:
-    """Every string with positive net frequency, one report each, with
-    its leftmost occurrence, ascending by (start, end). O(n)."""
-    _require_sealed(tree)
-    return _reports(tree, _sweep(tree), None)
 
 
 def online_all_nf(builder: OnlineBuilder) -> list[NfReport]:

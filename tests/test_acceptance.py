@@ -15,11 +15,10 @@ import time
 
 import pytest
 
+from loci_checks import CLASS_RANK, edge_depths, progression
 from netfreq import (
     NetFrequencyIndex,
     naive_implicit_tree,
-    offline_all_nf,
-    offline_single_nf,
     offline_single_nf_breakdown,
     online_all_nf,
     online_single_nf,
@@ -28,8 +27,6 @@ from netfreq import (
     oracle_repeated_suffixes,
 )
 from netfreq.cli import cmd_bench
-
-CLASS_RANK = {"external": 0, "internal": 1, "coinciding": 2}
 
 
 def _verdict(num: int, label: str, body):
@@ -78,7 +75,7 @@ def test_criterion_1_worked_example():
         ix = _sealed(b"rstkstcastarstast")
         tree = ix.tree
         marker = tree.store.sentinel
-        assert offline_single_nf(tree, b"st") == 1
+        assert ix.single_nf(b"st") == 1
         bd = offline_single_nf_breakdown(tree, b"st")
         assert bd.value == 1
         assert bd.right_unique == {marker, ord("c"), ord("k")}
@@ -99,10 +96,10 @@ def test_criterion_2_exhaustive_offline_binary():
         for length in range(1, 13):
             for tup in itertools.product(b"ab", repeat=length):
                 text = bytes(tup)
-                tree = _sealed(text).tree
+                ix = _sealed(text)
                 for s in _distinct_substrings(text):
-                    assert offline_single_nf(tree, s) == oracle_nf(text, s, sealed=True), (text, s)
-                rows = offline_all_nf(tree)
+                    assert ix.single_nf(s) == oracle_nf(text, s, sealed=True), (text, s)
+                rows = ix.all_nf()
                 got = {(tuple(text[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
                 assert got == set(map(tuple, oracle_all_nf(text, sealed=True))), text
                 texts += 1
@@ -156,17 +153,12 @@ def _check_registry_prefix(ix, text, hint):
     assert ranks == sorted(ranks), text
     depths = [m[0] for m in members]
     assert depths == sorted(depths, reverse=True), text
-    seen_edges = set()
-    for _d, _s, u, _c in members:
-        if u in seen_edges:
-            continue
-        seen_edges.add(u)
-        ds = reg.implicit_on_edge(u)
+    for u, ds in edge_depths(members).items():
         top = tree.depth(tree.parent_of(u))
         if tree.is_branching(u):
             assert len(ds) <= 1 and top < ds[0] <= tree.depth(u), (text, u)
         else:
-            first, step, count = reg.edge_progression(u)
+            first, step, count = progression(ds)
             assert count == len(ds) and first == ds[0] and first > top, (text, u)
             assert all(ds[k] == first + step * k for k in range(count)), (text, u)
     return (max(d for d, _s in expect) if expect else 0) + 1
@@ -188,7 +180,7 @@ def test_criterion_4_randomized_registry_and_agreement():
                     hint = _check_registry_prefix(ix, text[:k + 1], hint)
                 live_rows = _online_rows(ix)
                 ix.seal()
-                rows = offline_all_nf(ix.tree)
+                rows = ix.all_nf()
                 sealed_rows = {(tuple(text[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
                 assert live_rows == sealed_rows, text
                 texts += 1
@@ -289,7 +281,7 @@ def test_criterion_7_positive_count_bound():
             ix = _live(text)
             assert len(online_all_nf(ix.builder)) <= n, text
             ix.seal()
-            assert len(offline_all_nf(ix.tree)) <= n, text
+            assert len(ix.all_nf()) <= n, text
             checked += 1
         return f"{checked} texts"
 

@@ -1,9 +1,8 @@
-"""Registry tracking of repeated suffixes: membership, classes, progressions."""
+"""The repeated-suffix view: membership, classes, progressions."""
 
 import random
 
-import pytest
-
+from loci_checks import CLASS_RANK, check_loci, edge_depths, longest_coinciding, progression
 from netfreq import (
     CLASS_COINCIDING,
     CLASS_EXTERNAL,
@@ -41,39 +40,39 @@ def test_member_count_and_depths_are_contiguous():
 def test_run_text_leaf_edge_progression():
     ix = live(b"aaaa")
     child = ix.tree.child(ROOT, ord("a"))
-    assert ix.registry.implicit_on_edge(child) == [1, 2, 3]
-    assert ix.registry.edge_progression(child) == (1, 1, 3)
-    assert ix.registry.implicit_on_edge(child)[-1] == 3
-    assert bool(ix.registry.implicit_on_edge(child))
+    depths = edge_depths(ix.registry.members())
+    assert depths[child] == [1, 2, 3]
+    assert progression(depths[child]) == (1, 1, 3)
+    assert list(depths) == [child]
 
 
 def test_unique_symbols_leave_every_edge_clean():
     ix = live(b"ab")
     assert ix.registry.members() == []
     assert ix.registry.member_count() == 0
-    for u in (1, 2):
-        assert not bool(ix.registry.implicit_on_edge(u))
-        assert ix.registry.implicit_on_edge(u) == []
+    assert edge_depths(ix.registry.members()) == {}
 
 
 def test_coincidence_at_branching_nodes():
     ix = live(b"aabaabababaa")
     loc = ix.tree.locate(b"a")
     assert loc.d == ix.tree.depth(loc.node)
-    assert ix.registry.coincides_with_branching(loc.node)
-    assert ix.registry.longest_coinciding() == (loc.node, 1)
+    assert ix.registry.member_at_depth(loc.d) == loc.node
+    assert longest_coinciding(ix.registry.members()) == (loc.node, 1)
     # "ba" is not a suffix here, so its branching node does not coincide
     loc2 = ix.tree.locate(b"ba")
     assert loc2.d == ix.tree.depth(loc2.node) == 2
-    assert not ix.registry.coincides_with_branching(loc2.node)
+    assert ix.registry.member_at_depth(2) != loc2.node
 
 
 def test_coincidence_requires_a_branching_node():
     ix = live(b"abab")
     loc = ix.tree.locate(b"ab")
     assert ix.tree.is_leaf(loc.node)
-    with pytest.raises(ValueError):
-        ix.registry.coincides_with_branching(loc.node)
+    members = ix.registry.members()
+    assert [(d, u, c) for d, _s, u, c in members][0] == (2, loc.node, CLASS_EXTERNAL)
+    assert [c for _d, _s, _u, c in members] == [CLASS_EXTERNAL, CLASS_EXTERNAL]
+    assert longest_coinciding(members) is None
 
 
 def test_member_at_depth_lookup():
@@ -90,7 +89,7 @@ def test_sealing_empties_the_registry():
     ix = live(b"aabaabababaa")
     ix.seal()
     assert ix.registry.members() == []
-    assert ix.registry.longest_coinciding() is None
+    assert longest_coinciding(ix.registry.members()) is None
 
 
 def test_dump_lines_follow_chain_order():
@@ -99,9 +98,6 @@ def test_dump_lines_follow_chain_order():
     assert len(lines) == 4
     classes = [ln.split("\t")[2] for ln in lines]
     assert classes == [CLASS_EXTERNAL, CLASS_EXTERNAL, CLASS_INTERNAL, CLASS_COINCIDING]
-
-
-SEGMENT_RANK = {CLASS_EXTERNAL: 0, CLASS_INTERNAL: 1, CLASS_COINCIDING: 2}
 
 
 def check_invariants(ix, text):
@@ -113,19 +109,21 @@ def check_invariants(ix, text):
     expect = {(length, n - length + 1) for length, _s in oracle_repeated_suffixes(text)}
     assert {(d, s) for d, s, _u, _c in members} == expect
     # chain runs longest to shortest in class segments of fixed order
-    ranks = [SEGMENT_RANK[c] for _d, _s, _u, c in members]
+    ranks = [CLASS_RANK[c] for _d, _s, _u, c in members]
     assert ranks == sorted(ranks)
     assert [m[0] for m in members] == sorted((m[0] for m in members), reverse=True)
     # internal edges hold at most one member, between the endpoint depths
+    by_edge = edge_depths(members)
+    assert set(by_edge) <= set(range(1, tree.node_count()))
     for u in range(1, tree.node_count()):
-        ds = reg.implicit_on_edge(u)
+        ds = by_edge.get(u, [])
         top = tree.depth(tree.parent_of(u))
         if tree.is_branching(u):
             assert len(ds) <= 1
             for d in ds:
                 assert top < d <= tree.depth(u)
         elif ds:
-            first, step, count = reg.edge_progression(u)
+            first, step, count = progression(ds)
             assert count == len(ds) and first == ds[0]
             assert [first + step * k for k in range(count)] == ds
             assert ds == sorted(ds) and ds[0] > top
@@ -159,7 +157,7 @@ def test_verify_after_every_extension():
         ix = NetFrequencyIndex()
         for c in text:
             ix.extend(c)
-            ix.registry.verify(ix.active_depth())
+            check_loci(ix.registry)
 
 
 def test_recompute_matches_incremental_records():
@@ -167,9 +165,7 @@ def test_recompute_matches_incremental_records():
     for _ in range(20):
         n = rng.randrange(1, 70)
         text = bytes(rng.randrange(3) + 97 for _ in range(n))
-        ix = live(text)
-        reg = ix.registry
-        assert reg.recompute_member_map(ix.active_depth()) == reg._member_node
+        check_loci(live(text).registry)
 
 
 def test_queries_resync_after_more_text():

@@ -1,4 +1,5 @@
-"""Sealed-tree net frequency: the worked example, tables, and oracle parity."""
+"""Sealed-text net frequency through the facade: the worked example,
+tables, the breakdown sets, and oracle parity."""
 
 import random
 
@@ -6,8 +7,6 @@ import pytest
 
 from netfreq import (
     NetFrequencyIndex,
-    offline_all_nf,
-    offline_single_nf,
     offline_single_nf_breakdown,
     oracle_all_nf,
     oracle_nf,
@@ -28,7 +27,7 @@ def row_strings(text, reports):
 
 def test_worked_example_single_value():
     ix = sealed(b"rstkstcastarstast")
-    assert offline_single_nf(ix.tree, b"st") == 1
+    assert ix.single_nf(b"st") == 1
 
 
 def test_worked_example_breakdown_sets():
@@ -46,7 +45,7 @@ def test_worked_example_breakdown_sets():
 
 def test_worked_example_full_table():
     text = b"rstkstcastarstast"
-    rows = row_strings(text, offline_all_nf(sealed(text).tree))
+    rows = row_strings(text, sealed(text).all_nf())
     assert rows == [
         (1, 3, 2, "rst"),
         (2, 3, 1, "st"),
@@ -57,18 +56,18 @@ def test_worked_example_full_table():
 
 def test_second_text_full_table():
     text = b"aabaabababaa"
-    rows = row_strings(text, offline_all_nf(sealed(text).tree))
+    rows = row_strings(text, sealed(text).all_nf())
     assert rows == [
         (1, 4, 2, "aaba"),
         (2, 5, 2, "abaa"),
         (5, 9, 2, "ababa"),
     ]
-    assert offline_single_nf(sealed(text).tree, b"abaa") == 2
+    assert sealed(text).single_nf(b"abaa") == 2
 
 
 def test_reports_are_sorted_and_leftmost():
     text = b"aabaabababaa"
-    rows = offline_all_nf(sealed(text).tree)
+    rows = sealed(text).all_nf()
     keyed = [(r.occurrence.i, r.occurrence.j) for r in rows]
     assert keyed == sorted(keyed)
     for r in rows:
@@ -78,26 +77,26 @@ def test_reports_are_sorted_and_leftmost():
 
 def test_queries_without_two_occurrences_are_zero():
     ix = sealed(b"abcdef")
-    assert offline_single_nf(ix.tree, b"abc") == 0
-    assert offline_single_nf(ix.tree, b"zzz") == 0
-    assert offline_all_nf(ix.tree) == []
+    assert ix.single_nf(b"abc") == 0
+    assert ix.single_nf(b"zzz") == 0
+    assert ix.all_nf() == []
 
 
 def test_empty_query_raises_and_unsealed_tree_rejected():
     ix = sealed(b"abab")
     with pytest.raises(ValueError):
-        offline_single_nf(ix.tree, b"")
+        ix.single_nf(b"")
+    with pytest.raises(ValueError):
+        offline_single_nf_breakdown(ix.tree, b"")
     live = NetFrequencyIndex()
     live.extend_text(b"abab")
     with pytest.raises(ValueError):
-        offline_single_nf(live.tree, b"ab")
-    with pytest.raises(ValueError):
-        offline_all_nf(live.tree)
+        offline_single_nf_breakdown(live.tree, b"ab")
 
 
 def test_str_and_bytes_queries_agree():
     ix = sealed(b"aabaabababaa")
-    assert offline_single_nf(ix.tree, "abaa") == offline_single_nf(ix.tree, b"abaa") == 2
+    assert ix.single_nf("abaa") == ix.single_nf(b"abaa") == 2
 
 
 def test_single_matches_oracle_on_random_texts():
@@ -106,10 +105,10 @@ def test_single_matches_oracle_on_random_texts():
         n = rng.randrange(2, 70)
         sigma = rng.choice((2, 3, 4))
         text = bytes(rng.randrange(sigma) + 97 for _ in range(n))
-        tree = sealed(text).tree
+        ix = sealed(text)
         subs = {text[i:j] for i in range(n) for j in range(i + 1, n + 1)}
         for s in subs:
-            assert offline_single_nf(tree, s) == oracle_nf(text, s, sealed=True)
+            assert ix.single_nf(s) == oracle_nf(text, s, sealed=True)
 
 
 def test_all_matches_oracle_on_random_texts():
@@ -118,7 +117,7 @@ def test_all_matches_oracle_on_random_texts():
         n = rng.randrange(2, 80)
         sigma = rng.choice((2, 3, 26))
         text = bytes(rng.randrange(sigma) + 97 for _ in range(n))
-        rows = offline_all_nf(sealed(text).tree)
+        rows = sealed(text).all_nf()
         got = {(tuple(text[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
         assert got == set(map(tuple, oracle_all_nf(text, sealed=True)))
 
@@ -128,4 +127,38 @@ def test_positive_reports_never_exceed_text_length():
     for _ in range(25):
         n = rng.randrange(1, 120)
         text = bytes(rng.randrange(2) + 97 for _ in range(n))
-        assert len(offline_all_nf(sealed(text).tree)) <= n
+        assert len(sealed(text).all_nf()) <= n
+
+
+def test_breakdown_sets_match_brute_force_counts():
+    # every distinct substring S of random sealed texts, the sentinel
+    # counted as a symbol: the sets are checked against substring counts
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(150):
+        n = rng.randrange(1, 40)
+        sigma = rng.choice((2, 3, 4))
+        text = bytes(rng.randrange(sigma) + 97 for _ in range(n))
+        ix = sealed(text)
+        marker = ix.tree.store.sentinel
+        t = tuple(text) + (marker,)
+        f = {}
+        for i in range(len(t)):
+            for j in range(i + 1, len(t) + 1):
+                f[t[i:j]] = f.get(t[i:j], 0) + 1
+        symbols = set(t)
+        for s in {text[i:j] for i in range(n) for j in range(i + 1, n + 1)}:
+            bd = offline_single_nf_breakdown(ix.tree, s)
+            assert bd.value == oracle_nf(text, s, sealed=True), (text, s)
+            loc = ix.tree.locate(s)
+            if ix.tree.is_branching(loc.node) and loc.d == ix.tree.depth(loc.node):
+                assert bd.right_unique == {y for y in symbols
+                                           if f.get(tuple(s) + (y,)) == 1}, (text, s)
+            left = {x for x in symbols
+                    if len([y for y in symbols if f.get((x,) + tuple(s) + (y,))]) >= 2}
+            assert bd.left_repeated == left, (text, s)
+            assert bd.right_unique_by_left == {
+                x: {y for y in symbols if f.get((x,) + tuple(s) + (y,)) == 1}
+                for x in left}, (text, s)
+            checked += 1
+    assert checked > 10000

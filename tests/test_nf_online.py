@@ -15,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from netfreq import (
     NetFrequencyIndex,
-    offline_all_nf,
-    offline_single_nf,
     online_all_nf,
     online_single_nf,
     oracle_all_nf,
@@ -86,21 +84,26 @@ def test_off_node_counts_on_a_run_and_an_internal_edge():
     assert ix.tree.is_branching(loc.node) and loc.d < ix.tree.depth(loc.node)
 
 
+def coincides(ix, u):
+    """str(u), u a branching node, is a repeated suffix of the text."""
+    return ix.tree.is_branching(u) and ix.registry.member_at_depth(ix.tree.depth(u)) == u
+
+
 def test_implicit_weiner_targets_found_and_empty():
     # the one-longer repeated suffix x + S of a coinciding S, when it exists
     ix = live(b"aabaa")
     loc = ix.tree.locate(b"a")
-    assert ix.registry.coincides_with_branching(loc.node)
+    assert coincides(ix, loc.node)
     assert ix.registry.member_at_depth(2) == ix.tree.locate(b"aa").node
     # coinciding node with no one-longer repeated suffix
     ix2 = live(b"abcabdab")
     loc2 = ix2.tree.locate(b"ab")
-    assert ix2.registry.coincides_with_branching(loc2.node)
+    assert coincides(ix2, loc2.node)
     assert ix2.registry.member_at_depth(3) is None
     # longest repeated suffix on a branching node, nothing deeper to find
     ix3 = live(b"aabaababa")
     loc3 = ix3.tree.locate(b"aba")
-    assert ix3.registry.coincides_with_branching(loc3.node)
+    assert coincides(ix3, loc3.node)
     assert ix3.registry.member_at_depth(4) is None
 
 
@@ -187,21 +190,21 @@ def test_all_matches_oracle_on_every_ternary_text():
 
 def test_online_entry_points_answer_sealed_indexes():
     # a sealed index is the live case with no members: the online
-    # functions must give the offline answers, including on texts where
-    # nothing is positive
+    # functions must give the facade's and the sealed oracle's answers,
+    # including on texts where nothing is positive
     texts = (b"ab", b"abcdef", b"a", b"aaaa", b"aabaabababaa", b"rstkstcastarstast",
              b"abbaba", b"aaabacab")
     for text in texts:
         ix = live(text)
         ix.seal()
         rows = online_all_nf(ix.builder)
-        assert rows == offline_all_nf(ix.tree) == ix.all_nf()
+        assert rows == ix.all_nf()
         got = {(tuple(text[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
         assert got == set(map(tuple, oracle_all_nf(text, sealed=True)))
         subs = {text[i:j] for i in range(len(text)) for j in range(i + 1, len(text) + 1)}
         for s in subs | {b"z"}:
             value = query(ix, s)
-            assert value == offline_single_nf(ix.tree, s) == ix.single_nf(s)
+            assert value == ix.single_nf(s)
             assert value == oracle_nf(text, s, sealed=True), (text, s)
         if text in (b"ab", b"abcdef", b"a"):
             assert rows == []

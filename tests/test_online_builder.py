@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from loci_checks import check_loci
 from netfreq import (
     ImplicitRegistry,
     NetFrequencyIndex,
@@ -32,7 +33,7 @@ def tree_state(ix):
         [dict(m) if m else None for m in t.child_map],
         [dict(m) if m else None for m in t.wlink_map],
         b.active_node, b.active_edge, b.active_length, b.remainder,
-        dict(ix.registry._member_node), dict(ix.registry._edge_members),
+        ix.registry.members(),
     )
 
 
@@ -78,9 +79,8 @@ def test_event_stream_replays_into_equal_registry():
         for c in text:
             builder.extend(c)
             ix.extend(c)
-            assert ix.registry._member_node == shadow._member_node
-            assert ix.registry._edge_members == shadow._edge_members
-        shadow.verify(builder.active_depth())
+            assert ix.registry.members() == shadow.members()
+        check_loci(shadow)
 
 
 def longest_repeated(codes):
@@ -126,10 +126,10 @@ def test_registry_view_reads_the_current_text_after_every_update():
         assert ix.registry.member_count() == longest_repeated(done)
         assert [m[0] for m in ix.registry.members()] == list(
             range(longest_repeated(done), 0, -1))
-        ix.registry.verify(ix.active_depth())
+        check_loci(ix.registry)
     ix.seal()
     assert ix.registry.members() == []
-    ix.registry.verify(ix.active_depth())
+    check_loci(ix.registry)
 
 
 def test_remainder_equals_active_depth_between_phases():
@@ -229,7 +229,8 @@ def test_failure_mid_phase_leaves_the_index_unusable():
 def test_failure_mid_phase_stops_every_read_below_the_facade():
     # "abcabxabca" fails in the phase of its last "a": left alone, the
     # reads below would answer from the stale active point ("abca" 0
-    # where the text gives 2, no rows where it has 2, active depth 0)
+    # where the text gives 2, no rows where it has 2, active depth 0),
+    # and the tree dump would show 5 nodes with no leaf for "x"
     ix = fresh()
     ix.tree.kind = FailingKind(ix.tree.kind)
     with pytest.raises(ArenaFailure):
@@ -238,9 +239,8 @@ def test_failure_mid_phase_stops_every_read_below_the_facade():
     reg = ix.registry
     for op in (lambda: online_single_nf(ix.builder, b"abca"),
                lambda: online_all_nf(ix.builder), lambda: suffix_loci(ix.builder),
-               ix.active_locus, ix.active_depth, reg.members, reg.member_count,
-               lambda: reg.member_at_depth(1), lambda: reg.implicit_on_edge(1),
-               reg.longest_coinciding, reg.dump, lambda: reg.verify(4)):
+               ix.active_locus, ix.active_depth, ix.node_count, ix.dump_tree,
+               reg.members, reg.member_count, lambda: reg.member_at_depth(1), reg.dump):
         with pytest.raises(RuntimeError) as err:
             op()
         assert isinstance(err.value.__cause__, ArenaFailure)

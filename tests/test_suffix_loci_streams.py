@@ -1,9 +1,10 @@
-"""The registry view on loaded streams: the loci the walk from the
-active point finds equal a descent from the root for every member, on
-tandem streams and after a bulk build."""
+"""suffix_loci on loaded streams: the locus the walk from the active
+point finds for every repeated suffix equals a descent from the root
+(tree.locate), on tandem streams and after a bulk build."""
 
 import random
 
+from loci_checks import check_loci
 from netfreq import NetFrequencyIndex
 
 DNA = b"acgt"
@@ -26,8 +27,8 @@ def tandem_text(rng):
 
 def test_moved_members_land_in_start_order():
     # Members of several lengths share edges, some deeper than others;
-    # verify() checks every locus, in start order, against a
-    # from-scratch recomputation.
+    # check_loci() checks every locus, in start order, against a
+    # descent from the root.
     rng = random.Random(41)
     for _ in range(200):
         text = tandem_text(rng)
@@ -36,7 +37,7 @@ def test_moved_members_land_in_start_order():
             for k, c in enumerate(text, 1):
                 ix.extend(c)
                 if k % every == 0:
-                    ix.registry.verify(ix.active_depth())
+                    check_loci(ix.registry)
 
 
 def test_verify_after_a_bulk_build_and_every_append():
@@ -46,8 +47,7 @@ def test_verify_after_a_bulk_build_and_every_append():
     text = (b"abaab" * 400) + bytes(rng.choice(DNA) for _ in range(500)) + b"abaab" * 60
     ix = NetFrequencyIndex()
     ix.extend_text(text)
-    reg = ix.registry
-    reg.verify(ix.active_depth())
+    check_loci(ix.registry)
     for c in b"abaabab" * 20 + b"c":
         ix.extend(c)
-        reg.verify(ix.active_depth())
+        check_loci(ix.registry)
