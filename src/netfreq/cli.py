@@ -80,8 +80,7 @@ def cmd_stream(args, stdin, stdout, stderr) -> int:
         elif line == b"!":
             stdout.write(format_table(index.store._symbols, index.all_nf()))
         elif line == b"#":
-            stdout.write("n=%d active_depth=%d nodes=%d\n"
-                         % (len(index), index.active_depth(), index.node_count()))
+            stdout.write(" ".join("%s=%d" % kv for kv in index.stats().items()) + "\n")
         else:
             print("netfreq: malformed line: %s" % escape_bytes(line), file=stderr)
             status = 1

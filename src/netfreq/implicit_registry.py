@@ -24,7 +24,7 @@ mid-phase.
 from __future__ import annotations
 
 from .online_builder import OnlineBuilder
-from .suffix_tree import KIND_LEAF, ROOT
+from .suffix_tree import ROOT
 
 CLASS_EXTERNAL = "external"
 CLASS_INTERNAL = "internal"
@@ -55,9 +55,10 @@ def suffix_loci(builder: OnlineBuilder) -> list[int]:
     for _ in range(builder.active_depth()):
         while length:
             v = child_map[node][syms[edge]]
-            dv = depth_arr[v]
-            elen = dv - depth_arr[node]
-            if not dv or length < elen:
+            if v < 0:  # a leaf: its edge is open
+                break
+            elen = depth_arr[v] - depth_arr[node]
+            if length < elen:
                 break
             node = v
             edge += elen
@@ -99,12 +100,11 @@ class ImplicitRegistry:
         coinciding (possibly with empty segments)."""
         n = len(self.store)
         a = self.builder.active_depth()
-        kind = self.tree.kind
         depth_arr = self.tree.depth_arr
         out = []
         for i, u in enumerate(suffix_loci(self.builder)):
             d = a - i
-            if kind[u] == KIND_LEAF:
+            if u < 0:
                 cls = CLASS_EXTERNAL
             elif d == depth_arr[u]:
                 cls = CLASS_COINCIDING

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from .implicit_registry import ImplicitRegistry
+from .implicit_registry import (
+    CLASS_COINCIDING,
+    CLASS_EXTERNAL,
+    CLASS_INTERNAL,
+    ImplicitRegistry,
+)
 from .nf_query import NfReport, online_all_nf, online_single_nf
 from .online_builder import OnlineBuilder
 from .suffix_tree import Locus
@@ -62,6 +67,27 @@ class NetFrequencyIndex:
     def node_count(self) -> int:
         self.builder.ensure_usable()
         return self.tree.node_count()
+
+    def stats(self) -> dict[str, int]:
+        """Sizes of the index, derived when called; no counter is kept on
+        the update path. n is the text length (with the sentinel once
+        sealed); nodes = 1 + branching + leaves. external, internal and
+        coinciding count the repeated suffixes by the class of their
+        locus, from one walk (ImplicitRegistry.members). branch_rows is
+        the length of each branching column (the root's row included)
+        and leaf_rows that of leaf_parent, one slot per leaf."""
+        members = self.registry.members()
+        tree = self.tree
+        out = {"n": len(self.store), "active_depth": self.builder.active_depth(),
+               "nodes": tree.node_count(), "branching": tree.branching_count(),
+               "leaves": tree.leaf_count()}
+        for cls in (CLASS_EXTERNAL, CLASS_INTERNAL, CLASS_COINCIDING):
+            out[cls] = 0
+        for _d, _s, _u, cls in members:
+            out[cls] += 1
+        out["branch_rows"] = len(tree.parent)
+        out["leaf_rows"] = len(tree.leaf_parent)
+        return out
 
     def dump_tree(self) -> str:
         self.builder.ensure_usable()

@@ -9,9 +9,16 @@ already accounted for by a repeated left extension:
     nf(S) = |{y : f(Sy) = 1}| - sum over repeated xS of |{y : f(xSy) = 1
             and f(Sy) = 1}|
 
-Unique right extensions are leaf children; repeated left extensions are
-the stored Weiner links (a left extension ending mid-edge has no unique
-right extension at all, so it never contributes).
+Unique right extensions are leaf children. No Weiner links are kept:
+the left extension of a leaf child is tested at the leaf of the
+previous suffix. Take u of depth d and its leaf child ~p (the suffix
+starting at p). It is a net occurrence iff p = 0 or the leaf of suffix
+p - 1 hangs from a node of depth <= d. If that leaf hangs deeper, its
+parent is x str(u) at depth d + 1 (x = T[p - 1]; a deeper parent would
+make x str(u) y repeated, and then str(u) y too), with the same leaf
+symbol y: exactly the pair the sum above subtracts. A left extension
+ending mid-edge has no unique right extension at all, so it never
+contributes.
 
 Mid-stream there is no sentinel, so the end of the text acts as a
 virtual unique extension of every suffix of the text read so far. The
@@ -36,12 +43,13 @@ score (see _nf_at_locus). online_all_nf runs the sealed sweep, then
 recounts with _live_count the few nodes whose count the repeated
 suffixes change, found by one walk from the active point.
 
-The subtraction conditions are deliberately symmetric: a pair (x, y) is
-discounted only when y is a unique right extension of both xS and S.
-Discounting on the xS side alone overcounts, e.g. text "abbaba",
-S = "b" would come out -1. A leaf after xS whose edge carries a
-repeated suffix has one after S too, whose symbol is then not counted,
-so the Weiner sources need no test of their own.
+The test is symmetric by construction: it starts from a unique right
+extension y of S (a leaf child) and discounts it only when y is a
+unique right extension of xS too (the leaf p - 1 hangs from xS under
+y). Discounting on the xS side alone overcounts, e.g. text "abbaba",
+S = "b" would come out -1. Live, when the edge of leaf p - 1 carries a
+repeated suffix, the edge of leaf p carries one too and leaf p is not
+counted, so leaf p - 1 needs no range test of its own.
 
 A sealed tree is the live case with an empty active string, so the
 online_* functions answer in both states. offline_single_nf_breakdown
@@ -50,11 +58,14 @@ takes a sealed tree alone and returns the sets behind one count.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress, repeat
+from operator import ge
 from typing import NamedTuple
 
 from .implicit_registry import suffix_loci
 from .online_builder import OnlineBuilder
-from .suffix_tree import KIND_BRANCH, KIND_LEAF, NIL, ROOT, Locus, SuffixTree
+from .suffix_tree import NIL, ROOT, Locus, SuffixTree
 from .text_store import Occurrence
 
 
@@ -63,7 +74,8 @@ class NfReport(NamedTuple):
 
     occurrence is the leftmost occurrence; node is the arena id whose
     string was reported (for the mid-edge longest-repeated-suffix report
-    of a live text, the edge child holding the locus).
+    of a live text, the edge child holding the locus). A leaf id is ~p,
+    p the 0-based start of the leaf's suffix (see SuffixTree).
     """
     occurrence: Occurrence
     nf: int
@@ -85,30 +97,22 @@ class NfBreakdown(NamedTuple):
 
 # -- the count at one branching node ----------------------------------------
 
-def _count_at_node(tree: SuffixTree, u: int, lo: int = 1, hi: int = 0) -> tuple[int, set]:
-    """Net frequency of str(u) from its stored links alone: leaf children
-    whose edge start is not within lo .. hi (both inclusive; an empty
-    range tests nothing), less the Weiner pairs (x, y) where y is a leaf
-    after x str(u) and one of those leaf symbols. Returns the count and
-    the leaf symbols counted."""
-    kind = tree.kind
-    child_map = tree.child_map
-    if lo > hi:
-        clean = {y for y, w in child_map[u].items() if kind[w] == KIND_LEAF}
-    else:
-        edge_start = tree.edge_start
-        clean = {y for y, w in child_map[u].items()
-                 if kind[w] == KIND_LEAF and not lo <= edge_start[w] <= hi}
-    if not clean:
-        return 0, clean
-    count = len(clean)
-    wm = tree.wlink_map[u]
-    if wm:
-        for w in wm.values():
-            for y, p in child_map[w].items():
-                if y in clean and kind[p] == KIND_LEAF:
-                    count -= 1
-    return count, clean
+def _count_at_node(tree: SuffixTree, u: int, lo: int = 1, hi: int = 0) -> int:
+    """Net frequency of str(u), u a branching node of depth d, from its
+    leaf children alone: a leaf ~p with p not within lo .. hi (both
+    inclusive; an empty range tests nothing) counts when its left
+    extension is unique, that is when p = 0 or the leaf of suffix p - 1
+    hangs no deeper than d."""
+    depth_arr = tree.depth_arr
+    leaf_parent = tree.leaf_parent
+    d = depth_arr[u]
+    count = 0
+    for w in tree.child_map[u].values():
+        if w < 0:
+            p = ~w
+            if not lo <= p <= hi and (not p or depth_arr[leaf_parent[p - 1]] <= d):
+                count += 1
+    return count
 
 
 def _node_locus(tree: SuffixTree, s):
@@ -118,7 +122,7 @@ def _node_locus(tree: SuffixTree, s):
     if loc is None:
         return None
     u, d = loc
-    if tree.kind[u] == KIND_LEAF or d < tree.depth_arr[u]:
+    if u < 0 or d < tree.depth_arr[u]:
         return None
     return u
 
@@ -130,19 +134,40 @@ def _require_sealed(tree: SuffixTree) -> None:
 
 def offline_single_nf_breakdown(tree: SuffixTree, s) -> NfBreakdown:
     """Net frequency of s against the sealed text, plus the sets it is
-    built from."""
+    built from, read off the leaves below the node u of s (depth d).
+    Every occurrence of a left extension x s is the suffix p - 1 of some
+    leaf ~p below u, with x = T[p - 1]; the ancestor of leaf p - 1 at
+    depth d + 1, when there is one, is the node x s. One walk up per
+    symbol x finds it."""
     _require_sealed(tree)
     u = _node_locus(tree, s)
     if u is None:
         return NfBreakdown(0, frozenset(), frozenset(), {})
-    value, clean = _count_at_node(tree, u)
-    kind = tree.kind
+    syms = tree.store._symbols
     child_map = tree.child_map
-    wm = tree.wlink_map[u] or {}
-    by_left = {x: frozenset(y for y, p in child_map[w].items()
-                            if kind[p] == KIND_LEAF)
-               for x, w in wm.items()}
-    return NfBreakdown(value, frozenset(clean), frozenset(by_left), by_left)
+    depth_arr = tree.depth_arr
+    parent = tree.parent
+    leaf_parent = tree.leaf_parent
+    d = depth_arr[u]
+    seen = set()
+    by_left = {}
+    stack = [u]
+    while stack:
+        v = stack.pop()
+        if v >= 0:
+            stack.extend(child_map[v].values())
+            continue
+        p = ~v
+        if not p or syms[p - 1] in seen:
+            continue
+        seen.add(syms[p - 1])
+        w = leaf_parent[p - 1]
+        while depth_arr[w] > d + 1:
+            w = parent[w]
+        if depth_arr[w] == d + 1:
+            by_left[syms[p - 1]] = frozenset(y for y, q in child_map[w].items() if q < 0)
+    right_unique = frozenset(y for y, w in child_map[u].items() if w < 0)
+    return NfBreakdown(_count_at_node(tree, u), right_unique, frozenset(by_left), by_left)
 
 
 # -- live queries -------------------------------------------------------------
@@ -153,8 +178,8 @@ def _live_count(tree: SuffixTree, u: int, d: int, a: int, ia: int, alpha: int) -
     ia (0-based) and locus on the edge into alpha. ia and alpha are read
     only when d <= a."""
     if d < a:
-        return _count_at_node(tree, u, ia + d, ia + a)[0]
-    phi = _count_at_node(tree, u)[0]
+        return _count_at_node(tree, u, ia, ia + a - d)
+    phi = _count_at_node(tree, u)
     if d == a and u == alpha:
         phi += 1  # str(u) is alpha: the text end is a unique right extension
     return phi
@@ -175,7 +200,7 @@ def _nf_at_locus(builder: OnlineBuilder, locus: Locus) -> int:
     tree = builder.tree
     u, d = locus
     a = builder.active_depth()
-    if tree.kind[u] != KIND_BRANCH or d != tree.depth_arr[u]:
+    if u < 0 or d != tree.depth_arr[u]:
         # Off a node only the longest repeated suffix can score: every
         # unique right extension is a net occurrence and nothing
         # subtracts, since a longer left extension would be a longer
@@ -185,7 +210,7 @@ def _nf_at_locus(builder: OnlineBuilder, locus: Locus) -> int:
         # count below runs.
         if d != a or locus != builder.active_locus():
             return 0
-        return 2 if tree.kind[u] == KIND_LEAF else 1
+        return 2 if u < 0 else 1
     if d > a:
         return _live_count(tree, u, d, a, NIL, NIL)
     alpha = builder.active_locus().node
@@ -195,44 +220,45 @@ def _nf_at_locus(builder: OnlineBuilder, locus: Locus) -> int:
 # -- all strings ------------------------------------------------------------
 
 def _sweep(tree: SuffixTree) -> list[int]:
-    """Net frequency per node with no members, in one pass over branching
-    nodes in arbitrary order: each leaf child y of v pays 1 to v's string,
-    and takes 1 back from its one-symbol-shorter string (the suffix-link
-    target) when y is unique after that string too. O(n) overall."""
-    kind = tree.kind
-    child_map = tree.child_map
-    slink_arr = tree.slink_arr
-    phi = [0] * len(kind)
-    for v, kv in enumerate(kind):
-        if kv != KIND_BRANCH:
-            continue
-        u = slink_arr[v]
-        ucm = child_map[u]
-        acc = 0
-        for y, w in child_map[v].items():
-            if kind[w] == KIND_LEAF:
-                acc += 1
-                p = ucm.get(y)
-                if p is not None and kind[p] == KIND_LEAF:
-                    phi[u] -= 1
-        phi[v] += acc
+    """Net frequency per branching node with no repeated suffix, in one
+    pass over the leaves in suffix-start order: the leaf ~p pays 1 to its
+    parent u when its left extension is unique, that is when p = 0 or
+    the leaf p - 1 hangs no deeper than u (see _count_at_node). O(n)."""
+    depth_arr = tree.depth_arr
+    phi = [0] * len(depth_arr)
+    prev = 0
+    for u in tree.leaf_parent:
+        d = depth_arr[u]
+        if prev <= d:
+            phi[u] += 1
+        prev = d
+    phi[ROOT] = 0
     return phi
 
 
 def _reports(tree: SuffixTree, phi: list[int], extra) -> list[NfReport]:
     """Every branching node with phi >= 1, plus the report extra when
-    given, as NfReports ascending by (start, end)."""
-    kind = tree.kind
+    given, as NfReports ascending by (start, end). The nodes are sorted
+    by one int key, start * (n + 1) + end, which divmod splits back into
+    the occurrence."""
+    n1 = len(tree.store) + 1
+    parent = tree.parent
+    edge_start = tree.edge_start
     depth_arr = tree.depth_arr
-    start = tree.start
-    reports = []
-    for v, value in enumerate(phi):
-        if value >= 1 and kind[v] == KIND_BRANCH:
-            i = start(v)
-            reports.append(NfReport(Occurrence(i, i + depth_arr[v] - 1), value, v))
+    nodes = list(compress(range(len(phi)), map(ge, phi, repeat(1))))
+    # with s = start(v) - 1 and d = depth(v): (s + 1) * n1 + s + d
+    keys = [(edge_start[v] - depth_arr[parent[v]]) * (n1 + 1) + n1 + depth_arr[v]
+            for v in nodes]
+    node_at = dict(zip(keys, nodes))
+    keys.sort()
+    nodes = list(map(node_at.__getitem__, keys))
+    del node_at  # before the rows are built, to lower the peak
+    occurrences = map(tuple.__new__, repeat(Occurrence), map(divmod, keys, repeat(n1)))
+    reports = list(map(tuple.__new__, repeat(NfReport),
+                       zip(occurrences, map(phi.__getitem__, nodes), nodes)))
     if extra is not None:
-        reports.append(extra)
-    reports.sort(key=lambda r: r.occurrence)
+        i, j = extra.occurrence
+        reports.insert(bisect_left(keys, i * n1 + j), extra)
     return reports
 
 
@@ -241,13 +267,11 @@ def online_all_nf(builder: OnlineBuilder) -> list[NfReport]:
     (or the sealed text), leftmost occurrences, ascending by (start, end).
     O(n).
 
-    The memberless sweep gives every node its sealed count. A node's live
-    count differs only when a leaf child's suffix starts inside alpha's
+    The sweep gives every node its sealed count. A node's live count
+    differs only when a leaf child's suffix starts inside alpha's
     leftmost occurrence; that leaf either carries a repeated suffix, so
     the walk over them from the active point (suffix_loci) meets its
-    parent, or str(node) is itself a repeated suffix. The suffix-link
-    target of such a parent has a loaded leaf of its own (the suffix one
-    position later), so the walk meets it too. Those parents are
+    parent, or str(node) is itself a repeated suffix. Those parents are
     recounted with the single-string rule.
 
     The repeated suffixes ending exactly on branching nodes form one
@@ -265,12 +289,11 @@ def online_all_nf(builder: OnlineBuilder) -> list[NfReport]:
     a = len(loci)
     if not a:
         return _reports(tree, phi, None)
-    kind = tree.kind
-    parent = tree.parent
     depth_arr = tree.depth_arr
-    recount = {parent[w] for w in loci if kind[w] == KIND_LEAF}
+    leaf_parent = tree.leaf_parent
+    recount = {leaf_parent[~w] for w in loci if w < 0}
     for k, v in enumerate(loci):
-        if kind[v] == KIND_BRANCH and a - k == depth_arr[v]:
+        if v >= 0 and a - k == depth_arr[v]:
             recount.add(v)  # tau
             break
     recount.discard(ROOT)
@@ -279,7 +302,7 @@ def online_all_nf(builder: OnlineBuilder) -> list[NfReport]:
     for v in recount:
         phi[v] = _live_count(tree, v, depth_arr[v], a, ia, alpha)
     extra = None
-    if kind[alpha] != KIND_BRANCH or a != depth_arr[alpha]:
+    if alpha < 0 or a != depth_arr[alpha]:
         extra = NfReport(Occurrence(ia + 1, ia + a),
                          _nf_at_locus(builder, Locus(alpha, a)), alpha)
     return _reports(tree, phi, extra)

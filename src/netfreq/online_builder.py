@@ -1,17 +1,20 @@
 """Online suffix tree construction, one appended symbol at a time.
 
 Ukkonen-style update with an explicit active point, open leaf ends, and
-suffix links. Weiner links are recorded as the mirror of every suffix
-link assignment. One phase loop serves every entry point, and nothing
-observes it: the repeated suffixes and their loci are read off the
-active point when a query needs them (see implicit_registry).
+suffix links; no Weiner links are kept (nf_query tests a leaf's left
+extension at the leaf of the previous suffix instead). A new leaf costs
+one child-dict entry and one leaf_parent append, and cutting a leaf
+edge rewrites its one leaf_parent entry (see SuffixTree). One phase loop
+serves every entry point, and nothing observes it: the repeated
+suffixes and their loci are read off the active point when a query
+needs them (see implicit_registry).
 """
 
 from __future__ import annotations
 
 from operator import index
 
-from .suffix_tree import KIND_BRANCH, KIND_LEAF, NIL, ROOT, Locus, SuffixTree
+from .suffix_tree import NIL, ROOT, Locus, SuffixTree
 from .text_store import TextStore, as_symbols
 
 
@@ -96,17 +99,17 @@ class OnlineBuilder:
         Each extension picks `here`, the node the new leaf hangs from: the
         active node when its edge is missing, the node cut into the edge
         on a mismatch, or NIL when the suffix is already present (rule 3,
-        which ends the phase). Leaves keep depth 0, so an edge into a node
-        of depth 0 is an open leaf edge ending at n."""
+        which ends the phase). A leaf child ~p of a node of depth d has an
+        open edge from p + d to n, and the active point never reaches
+        its end."""
         syms = self.store._symbols
         tree = self.tree
-        kind = tree.kind
         parent = tree.parent
         edge_start = tree.edge_start
         depth_arr = tree.depth_arr
         slink_arr = tree.slink_arr
         child_map = tree.child_map
-        wlink_map = tree.wlink_map
+        leaf_parent = tree.leaf_parent
 
         active_node = self.active_node
         active_edge = self.active_edge
@@ -132,50 +135,38 @@ class OnlineBuilder:
                         # off right at the node
                         here = active_node
                     else:
-                        es = edge_start[child]
-                        dc = depth_arr[child]
-                        elen = dc - depth_arr[active_node] if dc else n - es
-                        if active_length >= elen:
-                            active_edge += elen
-                            active_length -= elen
-                            active_node = child
-                            continue
+                        if child < 0:  # a leaf ~p below active_node
+                            es = ~child + depth_arr[active_node]
+                        else:
+                            es = edge_start[child]
+                            elen = depth_arr[child] - depth_arr[active_node]
+                            if active_length >= elen:
+                                active_edge += elen
+                                active_length -= elen
+                                active_node = child
+                                continue
                         if syms[es + active_length] == c:
                             here = NIL
                         else:
                             # cut the edge at the active point
-                            here = len(kind)
-                            kind.append(KIND_BRANCH)
+                            here = len(parent)
                             parent.append(active_node)
                             edge_start.append(es)
                             depth_arr.append(depth_arr[active_node] + active_length)
                             slink_arr.append(NIL)
                             child_map.append({syms[es + active_length]: child})
-                            wlink_map.append(None)
                             child_map[active_node][edge_sym] = here
-                            edge_start[child] = es + active_length
-                            parent[child] = here
+                            if child < 0:
+                                leaf_parent[~child] = here
+                            else:
+                                edge_start[child] = es + active_length
+                                parent[child] = here
                     if here != NIL:
-                        leaf = len(kind)
-                        kind.append(KIND_LEAF)
-                        parent.append(here)
-                        edge_start.append(n - 1)
-                        depth_arr.append(0)
-                        slink_arr.append(NIL)
-                        child_map.append(None)
-                        wlink_map.append(None)
-                        child_map[here][c] = leaf
+                        # leaves arrive in suffix-start order
+                        child_map[here][c] = ~len(leaf_parent)
+                        leaf_parent.append(here)
                     if last_new != NIL:
-                        # str(last_new) = x str(target): the suffix link
-                        # is mirrored as the Weiner link on x
-                        target = active_node if here == NIL else here
-                        slink_arr[last_new] = target
-                        x = syms[edge_start[last_new] - depth_arr[parent[last_new]]]
-                        wm = wlink_map[target]
-                        if wm is None:
-                            wlink_map[target] = {x: last_new}
-                        else:
-                            wm[x] = last_new
+                        slink_arr[last_new] = active_node if here == NIL else here
                     if here == NIL:
                         # suffix already present: remember it and stop the phase
                         active_length += 1

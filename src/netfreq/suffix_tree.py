@@ -15,16 +15,11 @@ from .text_store import TextStore, as_symbols
 NIL = -1
 ROOT = 0
 
-KIND_ROOT = 0
-KIND_BRANCH = 1
-KIND_LEAF = 2
-
-_KIND_NAMES = {KIND_ROOT: "root", KIND_BRANCH: "branching", KIND_LEAF: "leaf"}
-
 
 class Locus(NamedTuple):
     """A point in the tree: the node whose incoming edge holds it, plus the
-    string depth d, with depth(parent(node)) < d <= depth(node)."""
+    string depth d, with depth(parent(node)) < d <= depth(node). A leaf
+    node is named by its id ~p, p the 0-based start of its suffix."""
     node: int
     d: int
 
@@ -32,74 +27,81 @@ class Locus(NamedTuple):
 class SuffixTree:
     """Node arena over a TextStore.
 
-    Node ids are dense ints; id 0 is the root. Per-node data lives in
-    parallel lists. Children are per-node dicts keyed by symbol code
-    (None for leaves, which never have children). Edge ends are not
-    stored: a branching edge is depth(v) - depth(parent) long, and a leaf
-    edge is open, running to the current text length.
+    Branching nodes have dense ids from 0, the root. Their data lives in
+    parallel lists indexed by id; children are per-node dicts keyed by
+    symbol code. A branching edge is depth(v) - depth(parent) long, so
+    edge ends are not stored.
+
+    A leaf is not a row of those lists. The leaf of the suffix starting
+    at 0-based position p has id ~p (a negative int), and its one stored
+    field is leaf_parent[p]; leaves arrive in suffix-start order, so
+    leaf_parent is appended to. Everything else is derived: the leaf's
+    edge starts at p + depth(leaf_parent[p]) and is open, running to the
+    current text length n, and its depth is n - p. A read of a branching
+    column with a value that may be a leaf id needs a v < 0 test first:
+    a list read with a negative index returns a wrong row silently.
     """
 
-    __slots__ = ("store", "kind", "parent", "edge_start",
-                 "depth_arr", "slink_arr", "child_map", "wlink_map")
+    __slots__ = ("store", "parent", "edge_start",
+                 "depth_arr", "slink_arr", "child_map", "leaf_parent")
 
     def __init__(self, store: TextStore):
         self.store = store
-        self.kind = bytearray([KIND_ROOT])
         self.parent = [NIL]
         self.edge_start = [NIL]   # 0-based first label position; NIL for root
-        self.depth_arr = [0]      # string depth; 0 for leaves (open edge)
+        self.depth_arr = [0]      # string depth
         self.slink_arr = [NIL]
-        self.child_map: list = [{}]     # dict symbol -> node, None for leaves
-        self.wlink_map: list = [None]   # dict symbol -> source branching node
+        self.child_map: list[dict] = [{}]  # symbol -> branching id or leaf id ~p
+        self.leaf_parent: list[int] = []   # suffix start p -> parent of leaf ~p
 
     # -- arena basics ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.kind)
 
     @property
     def sealed(self) -> bool:
         return self.store.sealed
 
     def node_count(self) -> int:
-        return len(self.kind)
+        """Root, branching nodes and leaves."""
+        return len(self.parent) + len(self.leaf_parent)
 
     def leaf_count(self) -> int:
-        return self.kind.count(KIND_LEAF)
+        return len(self.leaf_parent)
 
     def branching_count(self) -> int:
-        return self.kind.count(KIND_BRANCH)
+        return len(self.parent) - 1
 
     def is_leaf(self, u: int) -> bool:
-        return self.kind[u] == KIND_LEAF
+        return 0 <= ~u < len(self.leaf_parent)
 
     def is_branching(self, u: int) -> bool:
-        return self.kind[u] == KIND_BRANCH
+        return 0 < u < len(self.parent)
 
     # -- navigation --------------------------------------------------------
 
     def parent_of(self, u: int) -> int:
-        """Parent node id; NIL for the root."""
+        """Parent node id; NIL for the root. NIL (-1) is also the id ~0
+        of the first leaf, so a caller that can reach the root tests for
+        it first."""
+        if u < 0:
+            return self.leaf_parent[~u]
         return self.parent[u]
 
     def child(self, u: int, y: int):
         """Child of u along symbol y, or None when absent."""
-        cm = self.child_map[u]
-        if cm is None:
+        if u < 0:
             return None
-        return cm.get(y)
+        return self.child_map[u].get(y)
 
     def children(self, u: int) -> Iterator[tuple[int, int]]:
         """(symbol, child) pairs in symbol order; empty for leaves."""
-        cm = self.child_map[u]
-        if not cm:
+        if u < 0:
             return iter(())
-        return iter(sorted(cm.items()))
+        return iter(sorted(self.child_map[u].items()))
 
     def depth(self, u: int) -> int:
         """String depth of u. Leaf depth tracks the open edge end."""
-        if self.kind[u] == KIND_LEAF:
-            return self.depth_arr[self.parent[u]] + len(self.store) - self.edge_start[u]
+        if u < 0:
+            return len(self.store) + u + 1  # n - p for u = ~p
         return self.depth_arr[u]
 
     # Leftmost because Ukkonen creates leaves in increasing suffix-start
@@ -114,8 +116,10 @@ class SuffixTree:
 
         Derived from the incoming edge: the edge label was cut from a
         concrete occurrence, and the prefix above it aligns with the
-        same occurrence.
+        same occurrence. A leaf ~p starts at p + 1.
         """
+        if u < 0:
+            return ~u + 1
         if u == ROOT:
             raise ValueError("root has no string")
         return self.edge_start[u] - self.depth_arr[self.parent[u]] + 1
@@ -123,37 +127,19 @@ class SuffixTree:
     def edge_span(self, u: int) -> tuple[int, int]:
         """Incoming edge label as 1-based (start, end); open ends resolve
         to the current text length."""
+        if u < 0:
+            p = ~u
+            return (p + self.depth_arr[self.leaf_parent[p]] + 1, len(self.store))
         if u == ROOT:
             raise ValueError("root has no incoming edge")
         s = self.edge_start[u]
-        return (s + 1, s + self.depth(u) - self.depth_arr[self.parent[u]])
+        return (s + 1, s + self.depth_arr[u] - self.depth_arr[self.parent[u]])
 
     def slink(self, u: int) -> int:
         """Suffix link of a branching node."""
-        if self.kind[u] != KIND_BRANCH:
+        if not self.is_branching(u):
             raise ValueError("suffix links exist on branching nodes only")
         return self.slink_arr[u]
-
-    def wlinks(self, u: int) -> list[tuple[int, int]]:
-        """Stored Weiner links of u as (symbol, target) pairs in symbol
-        order: wlink(u, x) = v means str(v) = x + str(u). The root holds
-        one for every branching node of depth 1 (str(v) = x); error for
-        leaves."""
-        if self.kind[u] == KIND_LEAF:
-            raise ValueError("Weiner links exist on branching nodes and the root only")
-        wm = self.wlink_map[u]
-        if not wm:
-            return []
-        return sorted(wm.items())
-
-    def wlink(self, u: int, x: int):
-        """Weiner-link target of u for symbol x, or None."""
-        if self.kind[u] == KIND_LEAF:
-            raise ValueError("Weiner links exist on branching nodes and the root only")
-        wm = self.wlink_map[u]
-        if wm is None:
-            return None
-        return wm.get(x)
 
     # -- search ------------------------------------------------------------
 
@@ -183,25 +169,27 @@ class SuffixTree:
             v = cm.get(q[d])
             if v is None:
                 return None
+            if v < 0:  # a leaf ~p: its suffix starts at p
+                st = ~v
+                break
             dv = depth_arr[v]
-            if not dv or dv >= m:  # a leaf (depth 0) or deep enough
+            if dv >= m:
+                st = self.edge_start[v] - d  # the leftmost occurrence, as in start()
                 break
             cm = child_map[v]
             d = dv
-        st = self.edge_start[v] - d  # the leftmost occurrence, as in start()
         if self.store._symbols[st:st + m] != q:
             return None
         return Locus(v, m)
 
     def subtree_leaf_count(self, u: int) -> int:
         """Leaves in the subtree rooted at u (u itself counts if a leaf)."""
-        kind = self.kind
         child_map = self.child_map
         total = 0
         stack = [u]
         while stack:
             v = stack.pop()
-            if kind[v] == KIND_LEAF:
+            if v < 0:
                 total += 1
             else:
                 stack.extend(child_map[v].values())
@@ -225,16 +213,16 @@ class SuffixTree:
             else:
                 s, e = self.edge_span(u)
                 edge = f"{s},{e}"
-                par = str(self.parent[u])
+                par = str(self.parent_of(u))
                 st = str(self.start(u))
-            sl = self.slink_arr[u]
-            slink = str(sl) if self.kind[u] == KIND_BRANCH and sl != NIL else "-"
-            lines.append(f"{u}\t{_KIND_NAMES[self.kind[u]]}\t{par}\t{edge}\t"
-                         f"{self.depth(u)}\t{st}\t{slink}")
-            cm = self.child_map[u]
-            if cm:
-                for _, v in sorted(cm.items(), reverse=True):
-                    stack.append(v)
+            if u < 0:
+                name, slink = "leaf", "-"
+            else:
+                name = "branching" if u else "root"
+                sl = self.slink_arr[u]
+                slink = str(sl) if sl != NIL else "-"
+                stack.extend(v for _, v in sorted(self.child_map[u].items(), reverse=True))
+            lines.append(f"{u}\t{name}\t{par}\t{edge}\t{self.depth(u)}\t{st}\t{slink}")
         return "\n".join(lines)
 
     def canonical_form(self, u: int = ROOT):
@@ -242,7 +230,6 @@ class SuffixTree:
         with children in symbol order. Node ids and label positions do not
         appear, so two structurally equal trees compare equal."""
         syms = self.store._symbols
-        child_map = self.child_map
 
         def form(v: int):
             if v == ROOT:
@@ -250,9 +237,6 @@ class SuffixTree:
             else:
                 s, e = self.edge_span(v)
                 label = tuple(syms[s - 1:e])
-            cm = child_map[v]
-            if not cm:
-                return (label, ())
-            return (label, tuple(form(w) for _, w in sorted(cm.items())))
+            return (label, tuple(form(w) for _, w in self.children(v)))
 
         return form(u)

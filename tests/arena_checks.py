@@ -1,0 +1,38 @@
+"""Checks of the node arena, shared by the tests.
+
+Branching nodes have dense ids 1 .. len(parent) - 1 (0 is the root); the
+leaf of the suffix starting at 0-based p has id ~p and one stored field,
+leaf_parent[p].
+"""
+
+
+def node_ids(tree) -> list[int]:
+    """Every node id but the root's: branching ids, then leaf ids."""
+    return list(range(1, len(tree.parent))) + [~p for p in range(tree.leaf_count())]
+
+
+def check_arena(tree) -> None:
+    """Assert the arena contract: every child value is a branching id in
+    range or a leaf id ~p with p < leaf_count(); each leaf hangs, under
+    its edge's first symbol, from the node leaf_parent names; and a
+    leaf's depth and start follow from p alone."""
+    n = len(tree.store)
+    branching = len(tree.parent)
+    leaves = tree.leaf_count()
+    columns = (tree.edge_start, tree.depth_arr, tree.slink_arr, tree.child_map)
+    assert all(len(col) == branching for col in columns)
+    assert tree.node_count() == branching + leaves
+    seen = set()
+    for u in range(branching):
+        for y, v in tree.child_map[u].items():
+            assert 0 < v < branching or 0 <= ~v < leaves, (u, y, v)
+            assert v not in seen, v
+            seen.add(v)
+            assert tree.parent_of(v) == u, (u, v)
+            assert tree.store._symbols[tree.edge_span(v)[0] - 1] == y, (u, y, v)
+    assert len(seen) == branching - 1 + leaves
+    for p, u in enumerate(tree.leaf_parent):
+        assert ~p in tree.child_map[u].values(), (p, u)
+        assert tree.is_leaf(~p) and not tree.is_branching(~p)
+        assert tree.depth(~p) == n - p, p
+        assert tree.start(~p) == p + 1, p

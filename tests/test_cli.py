@@ -100,11 +100,17 @@ def test_offline_escapes_raw_bytes(tmp_path):
     assert out.splitlines()[1] == "1\t2\t2\t\\\\a"
 
 
+# the stream "#" line for "aabaabababaa": NetFrequencyIndex.stats()
+WORKED_STATUS = ("n=12 active_depth=4 nodes=15 branching=6 leaves=8 "
+                 "external=2 internal=1 coinciding=1 branch_rows=7 leaf_rows=8")
+
+
 def test_stream_query_and_status():
     feed = b"+ab\n? a\n#\n"
     code, out, err = run_main(["stream"], feed)
     assert code == 0 and err == ""
-    assert out == "0\nn=2 active_depth=0 nodes=3\n"
+    assert out == ("0\nn=2 active_depth=0 nodes=3 branching=0 leaves=2 external=0 "
+                   "internal=0 coinciding=0 branch_rows=1 leaf_rows=2\n")
 
 
 def test_stream_worked_text_status_and_table():
@@ -112,7 +118,7 @@ def test_stream_worked_text_status_and_table():
     code, out, err = run_main(["stream"], feed)
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "n=12 active_depth=4 nodes=15"
+    assert lines[0] == WORKED_STATUS
     assert lines[1] == TABLE_HEADER
     assert lines[2:] == ["1\t4\t2\taaba", "2\t5\t2\tabaa", "5\t9\t2\tababa"]
 
@@ -222,4 +228,4 @@ def test_stream_subprocess_round_trip():
         capture_output=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"2\nn=12 active_depth=4 nodes=15\n", proc.stderr
+    assert proc.stdout == b"2\n" + WORKED_STATUS.encode() + b"\n", proc.stderr

@@ -2,6 +2,7 @@
 
 import random
 
+from arena_checks import node_ids
 from loci_checks import CLASS_RANK, check_loci, edge_depths, longest_coinciding, progression
 from netfreq import (
     CLASS_COINCIDING,
@@ -114,8 +115,9 @@ def check_invariants(ix, text):
     assert [m[0] for m in members] == sorted((m[0] for m in members), reverse=True)
     # internal edges hold at most one member, between the endpoint depths
     by_edge = edge_depths(members)
-    assert set(by_edge) <= set(range(1, tree.node_count()))
-    for u in range(1, tree.node_count()):
+    ids = node_ids(tree)
+    assert set(by_edge) <= set(ids)
+    for u in ids:
         ds = by_edge.get(u, [])
         top = tree.depth(tree.parent_of(u))
         if tree.is_branching(u):

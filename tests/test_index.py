@@ -1,8 +1,10 @@
-"""Facade behavior: dispatch across sealing, dumps, compound queries."""
+"""Facade behavior: dispatch across sealing, dumps, stats, compound queries."""
+
+import random
 
 import pytest
 
-from netfreq import Locus, NetFrequencyIndex, oracle_nf
+from netfreq import Locus, NetFrequencyIndex, oracle_nf, oracle_repeated_suffixes
 
 
 def test_starts_empty():
@@ -71,3 +73,26 @@ def test_rejects_queries_on_empty_index():
     assert ix.single_nf(b"a") == 0
     with pytest.raises(ValueError):
         ix.single_nf(b"")
+
+
+def test_stats_are_derived_from_the_text():
+    rng = random.Random(61)
+    for _ in range(20):
+        text = bytes(rng.randrange(rng.choice((2, 3, 4))) + 97 for _ in range(rng.randrange(1, 60)))
+        ix = NetFrequencyIndex()
+        for k, c in enumerate(text, 1):
+            ix.extend(c)
+            st = ix.stats()
+            reps = oracle_repeated_suffixes(text[:k])
+            a = reps[0][0] if reps else 0
+            assert (st["n"], st["active_depth"], st["leaves"]) == (k, a, k - a)
+            assert st["nodes"] == 1 + st["branching"] + st["leaves"] == ix.node_count()
+            assert st["external"] + st["internal"] + st["coinciding"] == a
+            classes = [c for _d, _s, _u, c in ix.registry.members()]
+            for cls in ("external", "internal", "coinciding"):
+                assert st[cls] == classes.count(cls)
+            assert (st["branch_rows"], st["leaf_rows"]) == (st["branching"] + 1, st["leaves"])
+        ix.seal()
+        st = ix.stats()
+        assert (st["n"], st["active_depth"], st["leaves"]) == (len(text) + 1, 0, len(text) + 1)
+        assert st["external"] == st["internal"] == st["coinciding"] == 0

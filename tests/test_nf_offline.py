@@ -11,6 +11,7 @@ from netfreq import (
     oracle_all_nf,
     oracle_nf,
 )
+from netfreq.nf_query import _count_at_node, _sweep
 
 
 def sealed(text):
@@ -162,3 +163,18 @@ def test_breakdown_sets_match_brute_force_counts():
                 for x in left}, (text, s)
             checked += 1
     assert checked > 10000
+
+
+def test_leaf_order_sweep_equals_the_count_at_every_branching_node():
+    # the sweep pays each leaf to its parent in suffix-start order; the
+    # single-string count tests the same leaves one node at a time
+    rng = random.Random(59)
+    texts = [bytes(rng.randrange(sigma) + 97 for _ in range(rng.randrange(1, 120)))
+             for sigma in (2, 3, 4, 26) for _ in range(15)]
+    texts += [b"a" * k + b"b" + b"a" * (k // 2) for k in (1, 5, 40)]
+    texts += [(b"abaab" * 30)[:k] for k in (7, 61, 150)]
+    for text in texts:
+        tree = sealed(text).tree
+        phi = _sweep(tree)
+        for u in range(1, len(tree.parent)):
+            assert phi[u] == _count_at_node(tree, u), (text, u)

@@ -177,9 +177,8 @@ def test_property_positive_count_bounded_by_length(text):
 
 
 def test_all_matches_oracle_on_every_ternary_text():
-    # every text over {a,b,c} up to length 8, left unsealed; the shortest
-    # one that needs the Weiner-source give-back of a loaded leaf edge is
-    # "aaabacab" (without it, "a" with nf 1 goes unreported)
+    # every text over {a,b,c} up to length 8, left unsealed; among them
+    # "aaabacab", on which an earlier all_nf left "a" (nf 1) unreported
     for n in range(1, 9):
         for tup in itertools.product(b"abc", repeat=n):
             text = bytes(tup)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from arena_checks import node_ids
 from loci_checks import check_loci
 from netfreq import (
     ImplicitRegistry,
@@ -27,11 +28,10 @@ def tree_state(ix):
     t = ix.tree
     b = ix.builder
     return (
-        list(t.kind), list(t.parent), list(t.edge_start),
-        [t.edge_span(u) for u in range(1, t.node_count())],
+        list(t.parent), list(t.edge_start),
+        [t.edge_span(u) for u in node_ids(t)],
         list(t.depth_arr), list(t.slink_arr),
-        [dict(m) if m else None for m in t.child_map],
-        [dict(m) if m else None for m in t.wlink_map],
+        [dict(m) for m in t.child_map], list(t.leaf_parent),
         b.active_node, b.active_edge, b.active_length, b.remainder,
         ix.registry.members(),
     )
@@ -201,38 +201,40 @@ class ArenaFailure(Exception):
     pass
 
 
-class FailingKind(bytearray):
-    """Node-kind column of the arena whose fifth append raises."""
+class FailingLeaves(list):
+    """Leaf column of the arena (one slot per leaf) whose fifth append
+    raises."""
 
     calls = 0
 
     def append(self, item):
         self.calls += 1
         if self.calls == 5:
-            raise ArenaFailure("fifth node")
+            raise ArenaFailure("fifth leaf")
         super().append(item)
 
 
 def test_failure_mid_phase_leaves_the_index_unusable():
     ix = fresh()
-    kind = ix.tree.kind = FailingKind(ix.tree.kind)
+    leaves = ix.tree.leaf_parent = FailingLeaves(ix.tree.leaf_parent)
     with pytest.raises(ArenaFailure):
         ix.extend_text(b"abcabxabcd")
     for op in (lambda: ix.extend(ord("a")), lambda: ix.extend_text(b"ab"),
-               ix.seal, lambda: ix.single_nf(b"ab"), ix.all_nf):
+               ix.seal, lambda: ix.single_nf(b"ab"), ix.all_nf, ix.stats):
         with pytest.raises(RuntimeError) as err:
             op()
         assert isinstance(err.value.__cause__, ArenaFailure)
-    assert kind.calls == 5
+    assert leaves.calls == 5
 
 
 def test_failure_mid_phase_stops_every_read_below_the_facade():
-    # "abcabxabca" fails in the phase of its last "a": left alone, the
-    # reads below would answer from the stale active point ("abca" 0
-    # where the text gives 2, no rows where it has 2, active depth 0),
-    # and the tree dump would show 5 nodes with no leaf for "x"
+    # "abcabxabca" fails at its fifth leaf, in the phase of "x": left
+    # alone, the reads below would answer from the stale active point
+    # ("abca" 0 where the text gives 2, the row "ab" with nf 2 where the
+    # text has "ab" 1 and "abca" 2, active depth 0 where it is 4), and
+    # the tree dump would meet a leaf id with no leaf_parent slot
     ix = fresh()
-    ix.tree.kind = FailingKind(ix.tree.kind)
+    ix.tree.leaf_parent = FailingLeaves(ix.tree.leaf_parent)
     with pytest.raises(ArenaFailure):
         ix.extend_text(b"abcabxabca")
     assert oracle_nf(b"abcabxabca", b"abca") == 2

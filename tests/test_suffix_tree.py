@@ -1,10 +1,11 @@
-"""Tree navigation, sealing, link reciprocity, and canonical-form checks."""
+"""Tree navigation, the leaf arena, sealing, links, and canonical-form checks."""
 
 import itertools
 import random
 
 import pytest
 
+from arena_checks import check_arena, node_ids
 from netfreq import (
     NetFrequencyIndex,
     OnlineBuilder,
@@ -114,28 +115,73 @@ def test_locate_rejects_mismatches_anywhere_in_an_edge():
                 assert text[i - 1:i - 1 + d] == q, (text, q, sealed)
 
 
-def test_root_weiner_links_reach_the_depth_one_branching_nodes():
-    # str(v) = x + str(root) for a branching v of depth 1; no other node
-    # has a suffix link to the root
+def _fibonacci_word(n):
+    a, b = b"a", b"ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _arena_texts():
+    rng = random.Random(19)
+    for sigma in (2, 3, 4, 26):
+        for _ in range(6):
+            yield bytes(rng.randrange(sigma) + 97 for _ in range(rng.randrange(1, 60)))
+    for period in (1, 2, 3, 5):
+        block = bytes(rng.randrange(3) + 97 for _ in range(period))
+        yield (block * (50 // period + 1))[:50]
+    yield _fibonacci_word(89)
+
+
+def test_arena_contract_after_every_append_and_sealed():
+    # leaves are ~p with one leaf_parent slot; every child value is a
+    # branching id in range or such a leaf, live after each append and
+    # once sealed
+    for text in _arena_texts():
+        ix = NetFrequencyIndex()
+        for c in text:
+            ix.extend(c)
+            check_arena(ix.tree)
+        assert ix.tree.leaf_count() == len(text) - ix.active_depth()
+        ix.seal()
+        check_arena(ix.tree)
+        assert ix.tree.leaf_count() == len(text) + 1
+
+
+def _check_left_extension_leaves(tree):
+    # the fact that replaces the Weiner links: when the leaf of suffix
+    # p - 1 hangs deeper than the parent u of leaf ~p (depth d), it hangs
+    # at depth d + 1, under the same symbol, from the node x str(u) whose
+    # suffix link is u
+    deeper = 0
+    for u in range(len(tree.parent)):
+        d = tree.depth(u)
+        for y, v in tree.children(u):
+            if not tree.is_leaf(v) or v == ~0:
+                continue
+            w = tree.parent_of(v + 1)  # leaf ~(p - 1) is ~p + 1
+            if tree.depth(w) > d:
+                deeper += 1
+                assert tree.depth(w) == d + 1, (u, v)
+                assert tree.slink(w) == u, (u, v)
+                assert tree.child(w, y) == v + 1, (u, v)
+    return deeper
+
+
+def test_left_extension_leaf_hangs_from_the_suffix_link_source():
+    deeper = 0
     for n in range(1, 7):
         for t in itertools.product(b"abc", repeat=n):
-            text = bytes(t)
-            for sealed in (False, True):
-                tree = build(text, sealed)
-                for x in b"abcz":
-                    v = tree.child(ROOT, x)
-                    want = v if v is not None and tree.is_branching(v) \
-                        and tree.depth(v) == 1 else None
-                    assert tree.wlink(ROOT, x) == want, (text, sealed, x)
-                assert tree.wlinks(ROOT) == [
-                    (x, v) for x, v in tree.children(ROOT)
-                    if tree.is_branching(v) and tree.depth(v) == 1], (text, sealed)
+            deeper += _check_left_extension_leaves(build(bytes(t), sealed=True))
+    deeper += _check_left_extension_leaves(build(b"rstkstcastarstast", sealed=True))
+    for text in _arena_texts():
+        deeper += _check_left_extension_leaves(build(text, sealed=True))
+    assert deeper > 1000
 
 
 def test_edge_labels_and_depths_are_consistent():
     tree = build(b"aabaabababaa", sealed=True)
-    n = tree.node_count()
-    for u in range(1, n):
+    for u in node_ids(tree):
         p = tree.parent_of(u)
         i, j = tree.edge_span(u)
         assert 1 <= i <= j
@@ -159,26 +205,6 @@ def test_suffix_links_drop_one_symbol():
         iv, jv = tree.edge_span(v) if v != ROOT else (1, 0)
         path_v = store.substring(jv - tree.depth(v) + 1, jv) if v != ROOT else ()
         assert path_u[1:] == path_v
-
-
-def test_weiner_links_mirror_suffix_links():
-    tree = build(b"rstkstcastarstast", sealed=True)
-    seen = 0
-    for u in range(tree.node_count()):
-        if not tree.is_branching(u):
-            continue
-        for x, w in tree.wlinks(u):
-            seen += 1
-            assert tree.slink(w) == u
-            iw, jw = tree.edge_span(w)
-            first = tree.store.symbol_at(jw - tree.depth(w) + 1)
-            assert first == x
-        v = tree.slink(u)
-        if v is not None and u != ROOT:
-            iu, ju = tree.edge_span(u)
-            x = tree.store.symbol_at(ju - tree.depth(u) + 1)
-            assert tree.wlink(v, x) == u
-    assert seen >= 1
 
 
 def test_subtree_leaf_count_equals_frequency():
@@ -207,7 +233,7 @@ def _check_starts_are_leftmost(tree):
             spelled[v] = spelled[u] + text[s - 1:e]
             stack.append(v)
     assert len(spelled) == tree.node_count()
-    for u in range(1, tree.node_count()):
+    for u in node_ids(tree):
         assert tree.start(u) == text.find(spelled[u]) + 1, (text, u)
 
 
