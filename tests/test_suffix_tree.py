@@ -115,6 +115,60 @@ def test_locate_rejects_mismatches_anywhere_in_an_edge():
                 assert text[i - 1:i - 1 + d] == q, (text, q, sealed)
 
 
+def _weiner_links(tree):
+    # Weiner links are not stored; they are the suffix links read
+    # backwards, keyed by the symbol the source node adds on the left,
+    # and (u, x) names at most one node
+    links = {}
+    for w in range(1, len(tree.parent)):
+        iw, jw = tree.edge_span(w)
+        x = tree.store.symbol_at(jw - tree.depth(w) + 1)
+        key = (tree.slink(w), x)
+        assert key not in links, (key, links[key], w)
+        links[key] = w
+    return links
+
+
+def test_root_weiner_links_reach_the_depth_one_branching_nodes():
+    # str(v) = x + str(root) for a branching v of depth 1; no other node
+    # has a suffix link to the root
+    for n in range(1, 7):
+        for t in itertools.product(b"abc", repeat=n):
+            text = bytes(t)
+            for sealed in (False, True):
+                tree = build(text, sealed)
+                links = _weiner_links(tree)
+                for x in b"abcz":
+                    v = tree.child(ROOT, x)
+                    want = v if v is not None and tree.is_branching(v) \
+                        and tree.depth(v) == 1 else None
+                    assert links.get((ROOT, x)) == want, (text, sealed, x)
+                assert sorted((x, w) for (u, x), w in links.items() if u == ROOT) == [
+                    (x, v) for x, v in tree.children(ROOT)
+                    if tree.is_branching(v) and tree.depth(v) == 1], (text, sealed)
+
+
+def test_weiner_links_mirror_suffix_links():
+    tree = build(b"rstkstcastarstast", sealed=True)
+    store = tree.store
+    seen = 0
+    for (u, x), w in _weiner_links(tree).items():
+        seen += 1
+        assert tree.slink(w) == u
+        assert tree.depth(w) == tree.depth(u) + 1
+        # str(w) = x + str(u)
+        iw, jw = tree.edge_span(w)
+        path_w = store.substring(jw - tree.depth(w) + 1, jw)
+        if u == ROOT:
+            path_u = ()
+        else:
+            iu, ju = tree.edge_span(u)
+            path_u = store.substring(ju - tree.depth(u) + 1, ju)
+        assert path_w[0] == x
+        assert tuple(path_w[1:]) == tuple(path_u)
+    assert seen >= 1
+
+
 def _fibonacci_word(n):
     a, b = b"a", b"ab"
     while len(b) < n:
