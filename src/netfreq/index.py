@@ -85,7 +85,7 @@ class NetFrequencyIndex:
             out[cls] = 0
         for _d, _s, _u, cls in members:
             out[cls] += 1
-        out["branch_rows"] = len(tree.parent)
+        out["branch_rows"] = len(tree.lstart)
         out["leaf_rows"] = len(tree.leaf_parent)
         return out
 

@@ -136,19 +136,15 @@ def offline_single_nf_breakdown(tree: SuffixTree, s) -> NfBreakdown:
     """Net frequency of s against the sealed text, plus the sets it is
     built from, read off the leaves below the node u of s (depth d).
     Every occurrence of a left extension x s is the suffix p - 1 of some
-    leaf ~p below u, with x = T[p - 1]; the ancestor of leaf p - 1 at
-    depth d + 1, when there is one, is the node x s. One walk up per
-    symbol x finds it."""
+    leaf ~p below u, with x = T[p - 1], so x s is T[p - 1:p + d]; one
+    locate per symbol x finds its node, when there is one."""
     _require_sealed(tree)
     u = _node_locus(tree, s)
     if u is None:
         return NfBreakdown(0, frozenset(), frozenset(), {})
     syms = tree.store._symbols
     child_map = tree.child_map
-    depth_arr = tree.depth_arr
-    parent = tree.parent
-    leaf_parent = tree.leaf_parent
-    d = depth_arr[u]
+    d = tree.depth_arr[u]
     seen = set()
     by_left = {}
     stack = [u]
@@ -161,10 +157,8 @@ def offline_single_nf_breakdown(tree: SuffixTree, s) -> NfBreakdown:
         if not p or syms[p - 1] in seen:
             continue
         seen.add(syms[p - 1])
-        w = leaf_parent[p - 1]
-        while depth_arr[w] > d + 1:
-            w = parent[w]
-        if depth_arr[w] == d + 1:
+        w = _node_locus(tree, syms[p - 1:p + d])
+        if w is not None:
             by_left[syms[p - 1]] = frozenset(y for y, q in child_map[w].items() if q < 0)
     right_unique = frozenset(y for y, w in child_map[u].items() if w < 0)
     return NfBreakdown(_count_at_node(tree, u), right_unique, frozenset(by_left), by_left)
@@ -199,7 +193,7 @@ def online_single_nf(builder: OnlineBuilder, s) -> int:
 def _nf_at_locus(builder: OnlineBuilder, locus: Locus) -> int:
     tree = builder.tree
     u, d = locus
-    a = builder.active_depth()
+    a = tree.depth_arr[builder.active_node] + builder.active_length
     if u < 0 or d != tree.depth_arr[u]:
         # Off a node only the longest repeated suffix can score: every
         # unique right extension is a net occurrence and nothing
@@ -242,13 +236,11 @@ def _reports(tree: SuffixTree, phi: list[int], extra) -> list[NfReport]:
     by one int key, start * (n + 1) + end, which divmod splits back into
     the occurrence."""
     n1 = len(tree.store) + 1
-    parent = tree.parent
-    edge_start = tree.edge_start
+    lstart = tree.lstart
     depth_arr = tree.depth_arr
     nodes = list(compress(range(len(phi)), map(ge, phi, repeat(1))))
-    # with s = start(v) - 1 and d = depth(v): (s + 1) * n1 + s + d
-    keys = [(edge_start[v] - depth_arr[parent[v]]) * (n1 + 1) + n1 + depth_arr[v]
-            for v in nodes]
+    # with s = lstart[v] and d = depth(v): (s + 1) * n1 + s + d
+    keys = [lstart[v] * (n1 + 1) + n1 + depth_arr[v] for v in nodes]
     node_at = dict(zip(keys, nodes))
     keys.sort()
     nodes = list(map(node_at.__getitem__, keys))

@@ -3,11 +3,13 @@
 Ukkonen-style update with an explicit active point, open leaf ends, and
 suffix links; no Weiner links are kept (nf_query tests a leaf's left
 extension at the leaf of the previous suffix instead). A new leaf costs
-one child-dict entry and one leaf_parent append, and cutting a leaf
-edge rewrites its one leaf_parent entry (see SuffixTree). One phase loop
-serves every entry point, and nothing observes it: the repeated
-suffixes and their loci are read off the active point when a query
-needs them (see implicit_registry).
+one child-dict entry and one leaf_parent append. A split appends one
+branching row, whose leftmost start is the cut child's (see
+SuffixTree.start), and rewrites nothing of a branching child: only a
+leaf child's one leaf_parent entry. One phase loop serves every entry
+point, and nothing observes it: the repeated suffixes and their loci are
+read off the active point when a query needs them (see
+implicit_registry).
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ class OnlineBuilder:
     def active_locus(self) -> Locus:
         """Canonical locus of the active string (the longest repeated
         suffix); Locus(0, 0) when it is empty."""
-        if self.active_length == 0:
-            u = self.active_node
-            return Locus(u, self.tree.depth_arr[u])
-        tree = self.tree
-        below = tree.child_map[self.active_node][self.store._symbols[self.active_edge]]
-        return Locus(below, tree.depth_arr[self.active_node] + self.active_length)
+        u = self.active_node
+        d = self.tree.depth_arr[u]
+        if self.active_length:
+            u = self.tree.child_map[u][self.store._symbols[self.active_edge]]
+            d += self.active_length
+        return tuple.__new__(Locus, (u, d))
 
     def active_depth(self) -> int:
         return self.tree.depth_arr[self.active_node] + self.active_length
@@ -104,8 +106,7 @@ class OnlineBuilder:
         its end."""
         syms = self.store._symbols
         tree = self.tree
-        parent = tree.parent
-        edge_start = tree.edge_start
+        lstart = tree.lstart
         depth_arr = tree.depth_arr
         slink_arr = tree.slink_arr
         child_map = tree.child_map
@@ -136,31 +137,32 @@ class OnlineBuilder:
                         here = active_node
                     else:
                         if child < 0:  # a leaf ~p below active_node
-                            es = ~child + depth_arr[active_node]
+                            s0 = ~child
                         else:
-                            es = edge_start[child]
+                            s0 = lstart[child]
                             elen = depth_arr[child] - depth_arr[active_node]
                             if active_length >= elen:
                                 active_edge += elen
                                 active_length -= elen
                                 active_node = child
                                 continue
-                        if syms[es + active_length] == c:
+                        # the active point is at depth dh on the edge, whose
+                        # next symbol sits at s0 + dh in the child's leftmost
+                        # occurrence
+                        dh = depth_arr[active_node] + active_length
+                        if syms[s0 + dh] == c:
                             here = NIL
                         else:
-                            # cut the edge at the active point
-                            here = len(parent)
-                            parent.append(active_node)
-                            edge_start.append(es)
-                            depth_arr.append(depth_arr[active_node] + active_length)
+                            # cut the edge at the active point; the new node
+                            # shares the child's leftmost start
+                            here = len(lstart)
+                            lstart.append(s0)
+                            depth_arr.append(dh)
                             slink_arr.append(NIL)
-                            child_map.append({syms[es + active_length]: child})
+                            child_map.append({syms[s0 + dh]: child})
                             child_map[active_node][edge_sym] = here
                             if child < 0:
                                 leaf_parent[~child] = here
-                            else:
-                                edge_start[child] = es + active_length
-                                parent[child] = here
                     if here != NIL:
                         # leaves arrive in suffix-start order
                         child_map[here][c] = ~len(leaf_parent)

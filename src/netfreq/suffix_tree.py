@@ -28,9 +28,13 @@ class SuffixTree:
     """Node arena over a TextStore.
 
     Branching nodes have dense ids from 0, the root. Their data lives in
-    parallel lists indexed by id; children are per-node dicts keyed by
-    symbol code. A branching edge is depth(v) - depth(parent) long, so
-    edge ends are not stored.
+    four parallel lists indexed by id: lstart, the 0-based start of the
+    leftmost occurrence of str(v) (NIL at the root), the string depth,
+    the suffix link, and the children, a per-node dict keyed by symbol
+    code. Edges and parents are not stored: v's edge is the tail of
+    str(v) = text[lstart[v]:lstart[v] + depth(v)] below its parent, and
+    the parent is found by a descent along str(v) from the root, for
+    inspection only (parent_of, edge_span).
 
     A leaf is not a row of those lists. The leaf of the suffix starting
     at 0-based position p has id ~p (a negative int), and its one stored
@@ -42,13 +46,12 @@ class SuffixTree:
     a list read with a negative index returns a wrong row silently.
     """
 
-    __slots__ = ("store", "parent", "edge_start",
-                 "depth_arr", "slink_arr", "child_map", "leaf_parent")
+    __slots__ = ("store", "lstart", "depth_arr", "slink_arr", "child_map",
+                 "leaf_parent")
 
     def __init__(self, store: TextStore):
         self.store = store
-        self.parent = [NIL]
-        self.edge_start = [NIL]   # 0-based first label position; NIL for root
+        self.lstart = [NIL]       # 0-based leftmost start of str(v); NIL for root
         self.depth_arr = [0]      # string depth
         self.slink_arr = [NIL]
         self.child_map: list[dict] = [{}]  # symbol -> branching id or leaf id ~p
@@ -62,29 +65,40 @@ class SuffixTree:
 
     def node_count(self) -> int:
         """Root, branching nodes and leaves."""
-        return len(self.parent) + len(self.leaf_parent)
+        return len(self.lstart) + len(self.leaf_parent)
 
     def leaf_count(self) -> int:
         return len(self.leaf_parent)
 
     def branching_count(self) -> int:
-        return len(self.parent) - 1
+        return len(self.lstart) - 1
 
     def is_leaf(self, u: int) -> bool:
         return 0 <= ~u < len(self.leaf_parent)
 
     def is_branching(self, u: int) -> bool:
-        return 0 < u < len(self.parent)
+        return 0 < u < len(self.lstart)
 
     # -- navigation --------------------------------------------------------
 
     def parent_of(self, u: int) -> int:
         """Parent node id; NIL for the root. NIL (-1) is also the id ~0
         of the first leaf, so a caller that can reach the root tests for
-        it first."""
+        it first. A branching node's parent is not stored: it is found by
+        a descent along str(u) from the root, one dict read per node on
+        the path."""
         if u < 0:
             return self.leaf_parent[~u]
-        return self.parent[u]
+        if u == ROOT:
+            return NIL
+        syms = self.store._symbols
+        s = self.lstart[u]
+        w = ROOT
+        while True:
+            v = self.child_map[w][syms[s + self.depth_arr[w]]]
+            if v == u:
+                return w
+            w = v
 
     def child(self, u: int, y: int):
         """Child of u along symbol y, or None when absent."""
@@ -104,36 +118,34 @@ class SuffixTree:
             return len(self.store) + u + 1  # n - p for u = ~p
         return self.depth_arr[u]
 
-    # Leftmost because Ukkonen creates leaves in increasing suffix-start
-    # order and a split keeps the older edge's alignment (the new node
-    # takes the cut edge's start). So u's edge still aligns with the first
-    # leaf whose path spelled str(u), and every later leaf below u starts
-    # further right. An occurrence without a leaf (a repeated suffix of the
-    # unsealed text) also occurs earlier, so the minimum over all
-    # occurrences is the same.
+    # lstart[v] is stored, and it stays the leftmost start: Ukkonen
+    # creates leaves in increasing suffix-start order, and a node cut into
+    # the edge above a child takes the child's start (p for a leaf ~p), so
+    # it is the start of the first leaf whose path spelled str(v), and
+    # every later leaf below v starts further right. An occurrence without
+    # a leaf (a repeated suffix of the unsealed text) also occurs earlier,
+    # so the minimum over all occurrences is the same.
     def start(self, u: int) -> int:
         """1-based text position of the leftmost occurrence of str(u).
-
-        Derived from the incoming edge: the edge label was cut from a
-        concrete occurrence, and the prefix above it aligns with the
-        same occurrence. A leaf ~p starts at p + 1.
-        """
+        A leaf ~p starts at p + 1."""
         if u < 0:
             return ~u + 1
         if u == ROOT:
             raise ValueError("root has no string")
-        return self.edge_start[u] - self.depth_arr[self.parent[u]] + 1
+        return self.lstart[u] + 1
 
     def edge_span(self, u: int) -> tuple[int, int]:
-        """Incoming edge label as 1-based (start, end); open ends resolve
-        to the current text length."""
-        if u < 0:
-            p = ~u
-            return (p + self.depth_arr[self.leaf_parent[p]] + 1, len(self.store))
+        """Incoming edge label as 1-based (start, end), cut from the
+        leftmost occurrence of str(u); open ends resolve to the current
+        text length."""
         if u == ROOT:
             raise ValueError("root has no incoming edge")
-        s = self.edge_start[u]
-        return (s + 1, s + self.depth_arr[u] - self.depth_arr[self.parent[u]])
+        return self._edge(u, self.parent_of(u))
+
+    def _edge(self, u: int, par: int) -> tuple[int, int]:
+        # edge_span(u) given u's parent, which a walk from the root holds
+        s = self.start(u)
+        return (s + self.depth_arr[par], s - 1 + self.depth(u))
 
     def slink(self, u: int) -> int:
         """Suffix link of a branching node."""
@@ -157,7 +169,7 @@ class SuffixTree:
         it, and a slice cut short by the end of the text (an open leaf
         edge) is shorter than s. O(|s|).
         """
-        q = list(as_symbols(s))
+        q = list(s) if type(s) is bytes else list(as_symbols(s))
         m = len(q)
         if not m:
             raise ValueError("empty query")
@@ -174,13 +186,13 @@ class SuffixTree:
                 break
             dv = depth_arr[v]
             if dv >= m:
-                st = self.edge_start[v] - d  # the leftmost occurrence, as in start()
+                st = self.lstart[v]
                 break
             cm = child_map[v]
             d = dv
         if self.store._symbols[st:st + m] != q:
             return None
-        return Locus(v, m)
+        return tuple.__new__(Locus, (v, m))
 
     def subtree_leaf_count(self, u: int) -> int:
         """Leaves in the subtree rooted at u (u itself counts if a leaf)."""
@@ -205,15 +217,14 @@ class SuffixTree:
         Absent fields print "-".
         """
         lines = []
-        stack = [ROOT]
+        stack = [(ROOT, NIL)]
         while stack:
-            u = stack.pop()
+            u, par = stack.pop()
             if u == ROOT:
                 edge = par = st = "-"
             else:
-                s, e = self.edge_span(u)
+                s, e = self._edge(u, par)
                 edge = f"{s},{e}"
-                par = str(self.parent_of(u))
                 st = str(self.start(u))
             if u < 0:
                 name, slink = "leaf", "-"
@@ -221,7 +232,7 @@ class SuffixTree:
                 name = "branching" if u else "root"
                 sl = self.slink_arr[u]
                 slink = str(sl) if sl != NIL else "-"
-                stack.extend(v for _, v in sorted(self.child_map[u].items(), reverse=True))
+                stack.extend((v, u) for _, v in sorted(self.child_map[u].items(), reverse=True))
             lines.append(f"{u}\t{name}\t{par}\t{edge}\t{self.depth(u)}\t{st}\t{slink}")
         return "\n".join(lines)
 
@@ -231,12 +242,12 @@ class SuffixTree:
         appear, so two structurally equal trees compare equal."""
         syms = self.store._symbols
 
-        def form(v: int):
+        def form(v: int, par: int):
             if v == ROOT:
                 label = ()
             else:
-                s, e = self.edge_span(v)
+                s, e = self._edge(v, par)
                 label = tuple(syms[s - 1:e])
-            return (label, tuple(form(w) for _, w in self.children(v)))
+            return (label, tuple(form(w, v) for _, w in self.children(v)))
 
-        return form(u)
+        return form(u, self.parent_of(u))

@@ -176,5 +176,5 @@ def test_leaf_order_sweep_equals_the_count_at_every_branching_node():
     for text in texts:
         tree = sealed(text).tree
         phi = _sweep(tree)
-        for u in range(1, len(tree.parent)):
+        for u in range(1, len(tree.lstart)):
             assert phi[u] == _count_at_node(tree, u), (text, u)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from netfreq import (
     NetFrequencyIndex,
+    SuffixTree,
     online_all_nf,
     online_single_nf,
     oracle_all_nf,
@@ -68,6 +69,58 @@ def test_empty_query_raises():
         query(ix, b"")
 
 
+QUERY_TEXT = b"aabaabababaa"
+QUERIES = (b"a", b"ab", b"aba", b"abaa", b"baa", b"aab", b"ababa", b"aabaab", b"zz",
+           b"aabaabababaab")
+
+
+def test_each_query_locates_once_live_and_sealed(monkeypatch):
+    # one tree.locate per query, whether it ends on a node, off a node
+    # (the longest repeated suffix among them) or nowhere
+    calls = []
+    locate = SuffixTree.locate
+
+    def counting(self, s):
+        calls.append(s)
+        return locate(self, s)
+
+    monkeypatch.setattr(SuffixTree, "locate", counting)
+    ix = live(QUERY_TEXT)
+    for sealed in (False, True):
+        if sealed:
+            ix.seal()
+        for s in QUERIES:
+            calls.clear()
+            ix.single_nf(s)
+            assert len(calls) == 1, (sealed, s, calls)
+
+
+def test_query_types_give_one_answer_live_and_sealed():
+    ix = live(QUERY_TEXT)
+    for sealed in (False, True):
+        if sealed:
+            ix.seal()
+        for s in QUERIES:
+            forms = (s.decode(), s, bytearray(s), memoryview(s), list(s), tuple(s))
+            got = [ix.single_nf(f) for f in forms]
+            assert got == [oracle_nf(QUERY_TEXT, s, sealed=sealed)] * len(forms), (sealed, s)
+
+
+def test_symbols_outside_the_alphabet_and_bad_queries():
+    ix = live(QUERY_TEXT)
+    for sealed in (False, True):
+        if sealed:
+            ix.seal()
+        for sym in (-1, 256, 1000):
+            assert ix.single_nf([sym]) == 0, (sealed, sym)
+            assert ix.single_nf([97, 98, sym]) == 0, (sealed, sym)
+        for empty in (b"", "", [], ()):
+            with pytest.raises(ValueError):
+                ix.single_nf(empty)
+        with pytest.raises(TypeError):
+            ix.single_nf([1.5])
+
+
 def test_off_node_counts_on_a_run_and_an_internal_edge():
     # Off a node only the longest repeated suffix scores: on a leaf edge
     # with the text end and the occurrence further left, mid-way down an
@@ -89,7 +142,7 @@ def coincides(ix, u):
     return ix.tree.is_branching(u) and ix.registry.member_at_depth(ix.tree.depth(u)) == u
 
 
-def test_implicit_weiner_targets_found_and_empty():
+def test_member_at_depth_finds_the_one_longer_repeated_suffix_or_none():
     # the one-longer repeated suffix x + S of a coinciding S, when it exists
     ix = live(b"aabaa")
     loc = ix.tree.locate(b"a")

@@ -28,8 +28,8 @@ def tree_state(ix):
     t = ix.tree
     b = ix.builder
     return (
-        list(t.parent), list(t.edge_start),
-        [t.edge_span(u) for u in node_ids(t)],
+        list(t.lstart),
+        [(t.parent_of(u), t.edge_span(u)) for u in node_ids(t)],
         list(t.depth_arr), list(t.slink_arr),
         [dict(m) for m in t.child_map], list(t.leaf_parent),
         b.active_node, b.active_edge, b.active_length, b.remainder,

@@ -120,7 +120,7 @@ def _weiner_links(tree):
     # backwards, keyed by the symbol the source node adds on the left,
     # and (u, x) names at most one node
     links = {}
-    for w in range(1, len(tree.parent)):
+    for w in range(1, len(tree.lstart)):
         iw, jw = tree.edge_span(w)
         x = tree.store.symbol_at(jw - tree.depth(w) + 1)
         key = (tree.slink(w), x)
@@ -208,7 +208,7 @@ def _check_left_extension_leaves(tree):
     # at depth d + 1, under the same symbol, from the node x str(u) whose
     # suffix link is u
     deeper = 0
-    for u in range(len(tree.parent)):
+    for u in range(len(tree.lstart)):
         d = tree.depth(u)
         for y, v in tree.children(u):
             if not tree.is_leaf(v) or v == ~0:
