@@ -1,8 +1,8 @@
 """Online net-frequency indexing over append-only text.
 
 The index keeps an implicit suffix tree current after every appended
-symbol and tracks which suffixes of the text recur inside it. On top of
-that it answers two queries at any moment: the net frequency of a given
+symbol; its active point spells the longest suffix of the text that
+recurs. On top of that it answers two queries at any moment: the net frequency of a given
 string, and the set of all strings whose net frequency is positive.
 """
 

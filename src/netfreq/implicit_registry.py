@@ -13,11 +13,10 @@ amortized for the whole chain.
 ImplicitRegistry is a read-only view with four reads, each computed
 when asked: member_count (the active depth), member_at_depth (one
 locate from the root), members (the walk, with each locus classed) and
-dump. The counts in nf_query need none of it for a single query (the
-active depth and the leftmost start of the active string suffice) and
-one walk for all_nf; the view serves inspection
-(NetFrequencyIndex.dump_registry) and the benchmark's tracer. Like the
-queries, every read raises RuntimeError once an update has failed
+dump. The counts in nf_query need none of it: the active depth and the
+leftmost start of the active string suffice. The walk and the view
+serve inspection (NetFrequencyIndex.stats and dump_registry) and the
+benchmark's tracer. Like the queries, every read raises RuntimeError once an update has failed
 mid-phase.
 """
 

@@ -38,10 +38,10 @@ them is needed for a single query. At a branching node u of depth d:
 - for d = A, str(u) is alpha exactly when alpha's locus is u, and then
   gains the text end.
 
-_live_count holds this rule for both queries. Off a node only alpha can
-score (see _nf_at_locus). online_all_nf runs the sealed sweep, then
-recounts with _live_count the few nodes whose count the repeated
-suffixes change, found by one walk from the active point.
+_nf_at_locus holds this rule; off a node only alpha can score.
+online_all_nf runs the sealed sweep, then takes off the leaves the
+first rule drops in one pass over the leaves starting inside alpha's
+leftmost occurrence.
 
 The test is symmetric by construction: it starts from a unique right
 extension y of S (a leaf child) and discounts it only when y is a
@@ -63,9 +63,8 @@ from itertools import compress, repeat
 from operator import ge
 from typing import NamedTuple
 
-from .implicit_registry import suffix_loci
 from .online_builder import OnlineBuilder
-from .suffix_tree import NIL, ROOT, Locus, SuffixTree
+from .suffix_tree import ROOT, Locus, SuffixTree
 from .text_store import Occurrence
 
 
@@ -166,19 +165,6 @@ def offline_single_nf_breakdown(tree: SuffixTree, s) -> NfBreakdown:
 
 # -- live queries -------------------------------------------------------------
 
-def _live_count(tree: SuffixTree, u: int, d: int, a: int, ia: int, alpha: int) -> int:
-    """Net frequency of str(u), u a branching node of depth d, against a
-    text whose longest repeated suffix alpha has length a, leftmost start
-    ia (0-based) and locus on the edge into alpha. ia and alpha are read
-    only when d <= a."""
-    if d < a:
-        return _count_at_node(tree, u, ia, ia + a - d)
-    phi = _count_at_node(tree, u)
-    if d == a and u == alpha:
-        phi += 1  # str(u) is alpha: the text end is a unique right extension
-    return phi
-
-
 def online_single_nf(builder: OnlineBuilder, s) -> int:
     """Net frequency of s against the text read so far, or against the
     sealed text once it is sealed. O(|s|)."""
@@ -205,10 +191,11 @@ def _nf_at_locus(builder: OnlineBuilder, locus: Locus) -> int:
         if d != a or locus != builder.active_locus():
             return 0
         return 2 if u < 0 else 1
-    if d > a:
-        return _live_count(tree, u, d, a, NIL, NIL)
-    alpha = builder.active_locus().node
-    return _live_count(tree, u, d, a, tree.start(alpha) - 1, alpha)
+    if d < a:
+        ia = tree.start(builder.active_locus().node) - 1
+        return _count_at_node(tree, u, ia, ia + a - d)
+    # str(u) is alpha: the text end is a unique right extension
+    return _count_at_node(tree, u) + (d == a and locus == builder.active_locus())
 
 
 # -- all strings ------------------------------------------------------------
@@ -259,42 +246,30 @@ def online_all_nf(builder: OnlineBuilder) -> list[NfReport]:
     (or the sealed text), leftmost occurrences, ascending by (start, end).
     O(n).
 
-    The sweep gives every node its sealed count. A node's live count
-    differs only when a leaf child's suffix starts inside alpha's
-    leftmost occurrence; that leaf either carries a repeated suffix, so
-    the walk over them from the active point (suffix_loci) meets its
-    parent, or str(node) is itself a repeated suffix. Those parents are
-    recounted with the single-string rule.
-
-    The repeated suffixes ending exactly on branching nodes form one
-    suffix-link chain, from the longest (tau) down to depth 1. Above tau
-    the text end, one more unique extension of str(v), and the one symbol
-    longer repeated suffix x str(v), which takes it back, cancel, so
-    those nodes keep their sweep value and only tau is recounted. The
-    longest repeated suffix, when it ends mid-edge, is reported with the
-    single-string count.
+    The sweep gives every node its sealed count. Live, a node u of depth
+    d < A loses the leaf children ~p that the sweep counted with
+    iA <= p <= iA + A - d (see _count_at_node); they all lie among the
+    leaves iA .. iA + A - 1, so one pass over those corrects every node.
+    Nodes with d >= A keep their sealed count, but alpha gains the text
+    end: +1 on its node, or, off a node, the row the single-string rule
+    gives it.
     """
     builder.ensure_usable()
     tree = builder.tree
     phi = _sweep(tree)
-    loci = suffix_loci(builder)
-    a = len(loci)
+    alpha, a = builder.active_locus()
     if not a:
         return _reports(tree, phi, None)
     depth_arr = tree.depth_arr
     leaf_parent = tree.leaf_parent
-    recount = {leaf_parent[~w] for w in loci if w < 0}
-    for k, v in enumerate(loci):
-        if v >= 0 and a - k == depth_arr[v]:
-            recount.add(v)  # tau
-            break
-    recount.discard(ROOT)
-    alpha = loci[0]
     ia = tree.start(alpha) - 1
-    for v in recount:
-        phi[v] = _live_count(tree, v, depth_arr[v], a, ia, alpha)
-    extra = None
-    if alpha < 0 or a != depth_arr[alpha]:
-        extra = NfReport(Occurrence(ia + 1, ia + a),
-                         _nf_at_locus(builder, Locus(alpha, a)), alpha)
-    return _reports(tree, phi, extra)
+    end = ia + a
+    for p in range(ia, min(end, len(leaf_parent))):
+        u = leaf_parent[p]
+        d = depth_arr[u]
+        if d < a and p + d <= end and (not p or depth_arr[leaf_parent[p - 1]] <= d):
+            phi[u] -= 1
+    if alpha >= 0 and a == depth_arr[alpha]:
+        phi[alpha] += 1
+        return _reports(tree, phi, None)
+    return _reports(tree, phi, NfReport(Occurrence(ia + 1, end), 2 if alpha < 0 else 1, alpha))

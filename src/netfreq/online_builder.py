@@ -7,9 +7,9 @@ one child-dict entry and one leaf_parent append. A split appends one
 branching row, whose leftmost start is the cut child's (see
 SuffixTree.start), and rewrites nothing of a branching child: only a
 leaf child's one leaf_parent entry. One phase loop serves every entry
-point, and nothing observes it: the repeated suffixes and their loci are
-read off the active point when a query needs them (see
-implicit_registry).
+point, and nothing observes it: the queries read the longest repeated
+suffix, its length and leftmost start, off the active point (see
+nf_query).
 """
 
 from __future__ import annotations

@@ -294,3 +294,51 @@ def test_single_matches_oracle_on_loaded_streams():
                 qs.add(pref[i:rng.randrange(i + 1, m + 1)])
             for s in qs:
                 assert query(ix, s) == oracle_nf(pref, s), (pref, s)
+
+
+def fibonacci_word(n):
+    a, b = b"a", b"ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def test_all_matches_oracle_where_alpha_overlaps_its_suffix_occurrence():
+    # In runs, tandem repeats and the Fibonacci word the leftmost
+    # occurrence of the longest repeated suffix overlaps the suffix
+    # itself, so the leaves the live correction reads (iA .. iA + A - 1)
+    # run past the last leaf. Moving the upper end of the range by one,
+    # correcting nodes as deep as A, reading past the last leaf or
+    # leaving out alpha's text end fails here.
+    rng = random.Random(71)
+    texts = [tandem_stream(rng, (2, 3, 4, 26)[k % 4]) for k in range(24)]
+    texts += [b"a" * k + b"b" + b"a" * k for k in (1, 2, 5, 16)]
+    texts.append(fibonacci_word(90))
+    for text in texts:
+        ix = NetFrequencyIndex()
+        for m in range(1, len(text) + 1):
+            ix.extend(text[m - 1])
+            pref = text[:m]
+            rows = online_all_nf(ix.builder)
+            got = {(tuple(pref[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
+            assert got == set(map(tuple, oracle_all_nf(pref))), pref
+
+
+def test_all_nf_equals_single_nf_at_every_branching_node_live():
+    # the two live paths node by node after every append: all_nf corrects
+    # the sweep in one pass over alpha's leaves, single_nf counts one
+    # node's leaf children with the range test
+    rng = random.Random(73)
+    texts = [bytes(rng.randrange(sigma) + 97 for _ in range(rng.randrange(1, 70)))
+             for sigma in (2, 3, 4, 26) for _ in range(6)]
+    texts += [tandem_stream(rng, (2, 3, 4, 26)[k % 4]) for k in range(16)]
+    for text in texts:
+        ix = NetFrequencyIndex()
+        tree = ix.tree
+        for m in range(1, len(text) + 1):
+            ix.extend(text[m - 1])
+            reported = {tuple(r.occurrence): r.nf for r in online_all_nf(ix.builder)}
+            for u in range(1, len(tree.lstart)):
+                i, d = tree.lstart[u], tree.depth_arr[u]
+                assert reported.get((i + 1, i + d), 0) == query(ix, text[i:i + d]), \
+                    (text[:m], u)

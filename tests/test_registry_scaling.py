@@ -60,7 +60,7 @@ def periodic_stream(n):
 
 
 def short_period_text(n):
-    # one bulk build, a live all_nf that walks every member, then a new
+    # one bulk build, a live all_nf with n - 3 repeated suffixes, then a new
     # symbol that drops them all
     ix = NetFrequencyIndex()
     ix.extend_text((b"aab" * (n // 3 + 1))[:n])
