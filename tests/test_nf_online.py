@@ -21,6 +21,7 @@ from netfreq import (
     oracle_all_nf,
     oracle_nf,
 )
+from test_suffix_tree import _fibonacci_word
 
 
 def live(text):
@@ -296,13 +297,6 @@ def test_single_matches_oracle_on_loaded_streams():
                 assert query(ix, s) == oracle_nf(pref, s), (pref, s)
 
 
-def fibonacci_word(n):
-    a, b = b"a", b"ab"
-    while len(b) < n:
-        a, b = b, b + a
-    return b[:n]
-
-
 def test_all_matches_oracle_where_alpha_overlaps_its_suffix_occurrence():
     # In runs, tandem repeats and the Fibonacci word the leftmost
     # occurrence of the longest repeated suffix overlaps the suffix
@@ -313,7 +307,7 @@ def test_all_matches_oracle_where_alpha_overlaps_its_suffix_occurrence():
     rng = random.Random(71)
     texts = [tandem_stream(rng, (2, 3, 4, 26)[k % 4]) for k in range(24)]
     texts += [b"a" * k + b"b" + b"a" * k for k in (1, 2, 5, 16)]
-    texts.append(fibonacci_word(90))
+    texts.append(_fibonacci_word(90))
     for text in texts:
         ix = NetFrequencyIndex()
         for m in range(1, len(text) + 1):
