@@ -18,7 +18,7 @@ import sys
 import time
 
 from .index import NetFrequencyIndex
-from .nf_query import NfReport
+from .nf_query import NfRows
 
 TABLE_HEADER = "start\tend\tnf\tstring"
 
@@ -37,12 +37,13 @@ def escape_bytes(codes) -> str:
     return "".join(out)
 
 
-def format_table(symbols, reports: list[NfReport]) -> str:
-    """Render reports as the tab-separated table, newline terminated."""
+def format_table(symbols, reports: NfRows) -> str:
+    """Render an all_nf result as the tab-separated table, newline
+    terminated, from its key and nf columns."""
     lines = [TABLE_HEADER]
-    for rep in reports:
-        i, j = rep.occurrence
-        lines.append("%d\t%d\t%d\t%s" % (i, j, rep.nf, escape_bytes(symbols[i - 1:j])))
+    for key, nf in zip(reports.key, reports.nf):
+        i, j = divmod(key, reports.n1)
+        lines.append("%d\t%d\t%d\t%s" % (i, j, nf, escape_bytes(symbols[i - 1:j])))
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .implicit_registry import (
     CLASS_COINCIDING,
     CLASS_EXTERNAL,
@@ -52,8 +54,9 @@ class NetFrequencyIndex:
         """Net frequency of s against the current text."""
         return online_single_nf(self.builder, s)
 
-    def all_nf(self) -> list[NfReport]:
-        """All strings of positive net frequency, ascending by occurrence."""
+    def all_nf(self) -> Sequence[NfReport]:
+        """All strings of positive net frequency, ascending by occurrence,
+        as a read-only sequence of NfReport built on access."""
         return online_all_nf(self.builder)
 
     def active_locus(self) -> Locus:

@@ -58,9 +58,11 @@ takes a sealed tree alone and returns the sets behind one count.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from itertools import compress, repeat
-from operator import ge
+from operator import eq, ge
 from typing import NamedTuple
 
 from .online_builder import OnlineBuilder
@@ -79,6 +81,45 @@ class NfReport(NamedTuple):
     occurrence: Occurrence
     nf: int
     node: int
+
+
+class NfRows(Sequence):
+    """The rows of one all_nf result, read-only, in three array('q')
+    columns: key, the occurrence (i, j) as i * n1 + j with n1 = n + 1;
+    nf; and node. A row is built as an NfReport only when read, by index,
+    slice (a list of rows) or iteration, so a kept result holds no
+    per-row objects for the cycle collector to trace. Compares equal to
+    any sequence of the same rows."""
+    __slots__ = ("n1", "key", "nf", "node")
+    __hash__ = None
+
+    def __init__(self, n1: int, key: array, nf: array, node: array):
+        self.n1 = n1
+        self.key = key
+        self.nf = nf
+        self.node = node
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(NfRows(self.n1, self.key[index], self.nf[index], self.node[index]))
+        i, j = divmod(self.key[index], self.n1)
+        return NfReport(Occurrence(i, j), self.nf[index], self.node[index])
+
+    def __iter__(self):
+        occurrences = map(tuple.__new__, repeat(Occurrence),
+                          map(divmod, self.key, repeat(self.n1)))
+        return map(tuple.__new__, repeat(NfReport), zip(occurrences, self.nf, self.node))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"NfRows({list(self)!r})"
 
 
 class NfBreakdown(NamedTuple):
@@ -217,11 +258,12 @@ def _sweep(tree: SuffixTree) -> list[int]:
     return phi
 
 
-def _reports(tree: SuffixTree, phi: list[int], extra) -> list[NfReport]:
-    """Every branching node with phi >= 1, plus the report extra when
-    given, as NfReports ascending by (start, end). The nodes are sorted
-    by one int key, start * (n + 1) + end, which divmod splits back into
-    the occurrence."""
+def _reports(tree: SuffixTree, phi: list[int], alpha_row) -> NfRows:
+    """Every branching node with phi >= 1, plus alpha_row = (i, j, nf,
+    node) when given, as NfRows ascending by (start, end). The nodes are
+    sorted by one int key, start * (n + 1) + end, which is then stored
+    as the key column; the mid-edge alpha row goes into all three
+    columns at its place in that order."""
     n1 = len(tree.store) + 1
     lstart = tree.lstart
     depth_arr = tree.depth_arr
@@ -230,21 +272,24 @@ def _reports(tree: SuffixTree, phi: list[int], extra) -> list[NfReport]:
     keys = [lstart[v] * (n1 + 1) + n1 + depth_arr[v] for v in nodes]
     node_at = dict(zip(keys, nodes))
     keys.sort()
-    nodes = list(map(node_at.__getitem__, keys))
-    del node_at  # before the rows are built, to lower the peak
-    occurrences = map(tuple.__new__, repeat(Occurrence), map(divmod, keys, repeat(n1)))
-    reports = list(map(tuple.__new__, repeat(NfReport),
-                       zip(occurrences, map(phi.__getitem__, nodes), nodes)))
-    if extra is not None:
-        i, j = extra.occurrence
-        reports.insert(bisect_left(keys, i * n1 + j), extra)
-    return reports
+    node = array("q", map(node_at.__getitem__, keys))
+    del node_at, nodes  # before the other columns are built, to lower the peak
+    key = array("q", keys)
+    del keys
+    nf = array("q", map(phi.__getitem__, node))
+    if alpha_row is not None:
+        i, j, alpha_nf, alpha = alpha_row
+        at = bisect_left(key, i * n1 + j)
+        key.insert(at, i * n1 + j)
+        nf.insert(at, alpha_nf)
+        node.insert(at, alpha)
+    return NfRows(n1, key, nf, node)
 
 
-def online_all_nf(builder: OnlineBuilder) -> list[NfReport]:
+def online_all_nf(builder: OnlineBuilder) -> NfRows:
     """Every string with positive net frequency against the text so far
-    (or the sealed text), leftmost occurrences, ascending by (start, end).
-    O(n).
+    (or the sealed text), leftmost occurrences, ascending by (start, end),
+    as a read-only sequence of NfReport built on access. O(n).
 
     The sweep gives every node its sealed count. Live, a node u of depth
     d < A loses the leaf children ~p that the sweep counted with
@@ -272,4 +317,4 @@ def online_all_nf(builder: OnlineBuilder) -> list[NfReport]:
     if alpha >= 0 and a == depth_arr[alpha]:
         phi[alpha] += 1
         return _reports(tree, phi, None)
-    return _reports(tree, phi, NfReport(Occurrence(ia + 1, end), 2 if alpha < 0 else 1, alpha))
+    return _reports(tree, phi, (ia + 1, end, 2 if alpha < 0 else 1, alpha))

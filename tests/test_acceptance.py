@@ -27,6 +27,7 @@ from netfreq import (
     oracle_repeated_suffixes,
 )
 from netfreq.cli import cmd_bench
+from test_suffix_tree import _fibonacci_word
 
 
 def _verdict(num: int, label: str, body):
@@ -199,7 +200,7 @@ def test_criterion_5_structural_isomorphism():
             b"a" * 200,
             b"ab" * 100,
             b"aab" * 66,
-            bytes(itertools.islice(_fibonacci_word(), 200)),
+            _fibonacci_word(200),
             b"abc" * 66,
         ]
         for _ in range(20):
@@ -217,14 +218,6 @@ def test_criterion_5_structural_isomorphism():
         return f"{len(corpus)} texts, {checked} prefixes, {elapsed:.1f} s"
 
     _verdict(5, "tree is isomorphic to the naive construction after every extension", body)
-
-
-def _fibonacci_word():
-    a, b = b"a", b"ab"
-    while True:
-        for c in a:
-            yield c
-        a, b = b, b + a
 
 
 def _run_bench(n, seed):

@@ -7,6 +7,7 @@ on a branching node, and "abbaba" needs the subtraction step to check the
 right-hand side as well as the left before discounting an occurrence.
 """
 
+import gc
 import itertools
 import random
 
@@ -15,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from netfreq import (
     NetFrequencyIndex,
+    NfReport,
+    Occurrence,
     SuffixTree,
     online_all_nf,
     online_single_nf,
@@ -336,3 +339,67 @@ def test_all_nf_equals_single_nf_at_every_branching_node_live():
                 i, d = tree.lstart[u], tree.depth_arr[u]
                 assert reported.get((i + 1, i + d), 0) == query(ix, text[i:i + d]), \
                     (text[:m], u)
+
+
+def test_all_nf_rows_read_as_a_sequence():
+    # rows are built on access: by index (negative too), by slice (a
+    # list, steps included, as the benchmark re-queries rows[::k][:16])
+    # and by iteration, all giving the same NfReport rows
+    rng = random.Random(16)
+    rows = live(bytes(rng.randrange(2) + 97 for _ in range(300))).all_nf()
+    ref = list(rows)
+    assert len(rows) == len(ref) > 48
+    assert [rows[k] for k in range(len(rows))] == ref
+    assert type(ref[0]) is NfReport and type(ref[0].occurrence) is Occurrence
+    assert rows[-1] == ref[-1] and rows[-len(rows)] == ref[0]
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+    for sl in (slice(None, None, 3), slice(5, 1, -2), slice(-7, None), slice(4, 4)):
+        assert type(rows[sl]) is list and rows[sl] == ref[sl]
+    assert rows[::3][:16] == ref[::3][:16]
+    assert [r.occurrence for r in rows] == sorted(r.occurrence for r in rows)
+
+
+def test_all_nf_rows_compare_as_sequences():
+    text = b"aabaabababaa"
+    rows = live(text).all_nf()
+    assert rows == live(text).all_nf() and rows == list(rows) and list(rows) == rows
+    assert rows != [] and [] != rows and rows != 3
+    assert live(b"ab").all_nf() == [] and [] == live(b"ab").all_nf()
+    changed = list(rows)
+    changed[1] = changed[1]._replace(nf=changed[1].nf + 1)
+    assert rows != changed and changed != rows
+    assert rows != list(rows)[:-1]
+    sealed = live(text)
+    sealed.seal()
+    assert rows != sealed.all_nf()  # the same strings at another text length
+    with pytest.raises(TypeError):
+        hash(rows)
+
+
+def test_mid_edge_alpha_row_lands_in_occurrence_order():
+    # the longest repeated suffix ends mid-edge, on a branching edge or
+    # on a leaf edge, and its row is first, in the middle or last of three
+    for text, at in ((b"ababbca", 0), (b"abbcca", 0), (b"ababaccb", 1), (b"aabbab", 1),
+                     (b"aababacb", 2), (b"aabbcc", 2)):
+        ix = live(text)
+        rows = ix.all_nf()
+        alpha, a = ix.active_locus()
+        i = ix.tree.start(alpha)
+        assert a and not (alpha >= 0 and ix.tree.depth_arr[alpha] == a), text
+        assert len(rows) == 3 and rows[at] == (Occurrence(i, i + a - 1), rows[at].nf, alpha)
+        assert [r.occurrence for r in rows] == sorted(r.occurrence for r in rows)
+        got = {(tuple(text[r.occurrence.i - 1:r.occurrence.j]), r.nf) for r in rows}
+        assert got == set(map(tuple, oracle_all_nf(text))), text
+
+
+def test_kept_all_nf_result_tracks_no_object_per_row():
+    # a kept result holds its rows in columns, so the collector's tracked
+    # objects grow by a constant, not by the row count
+    rng = random.Random(4096)
+    ix = live(bytes(rng.randrange(4) for _ in range(4096)))
+    gc.collect()
+    before = len(gc.get_objects())
+    rows = ix.all_nf()
+    grown = len(gc.get_objects()) - before
+    assert len(rows) > 1000 and grown < 64, (len(rows), grown)
