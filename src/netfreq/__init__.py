@@ -2,16 +2,12 @@
 
 The index keeps an implicit suffix tree current after every appended
 symbol; its active point spells the longest suffix of the text that
-recurs. On top of that it answers two queries at any moment: the net frequency of a given
+recurs, and the suffixes of that one are all the repeated suffixes
+(OnlineBuilder.repeated_suffixes lists them with their loci). On top of
+that it answers two queries at any moment: the net frequency of a given
 string, and the set of all strings whose net frequency is positive.
 """
 
-from .implicit_registry import (
-    CLASS_COINCIDING,
-    CLASS_EXTERNAL,
-    CLASS_INTERNAL,
-    ImplicitRegistry,
-)
 from .index import NetFrequencyIndex
 from .nf_query import (
     NfReport,
@@ -25,7 +21,7 @@ from .nf_oracle import (
     oracle_nf,
     oracle_repeated_suffixes,
 )
-from .online_builder import OnlineBuilder
+from .online_builder import CLASS_COINCIDING, CLASS_EXTERNAL, CLASS_INTERNAL, OnlineBuilder
 from .suffix_tree import Locus, SuffixTree
 from .text_store import Occurrence, TextStore, as_symbols
 
@@ -35,7 +31,6 @@ __all__ = [
     "CLASS_COINCIDING",
     "CLASS_EXTERNAL",
     "CLASS_INTERNAL",
-    "ImplicitRegistry",
     "Locus",
     "NetFrequencyIndex",
     "NfReport",

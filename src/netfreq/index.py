@@ -1,19 +1,38 @@
-"""Convenience facade tying the store, builder, and registry view together."""
+"""Convenience facade tying the store, builder and queries together."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .implicit_registry import (
-    CLASS_COINCIDING,
-    CLASS_EXTERNAL,
-    CLASS_INTERNAL,
-    ImplicitRegistry,
-)
 from .nf_query import NfReport, online_all_nf, online_single_nf
-from .online_builder import OnlineBuilder
+from .online_builder import CLASS_COINCIDING, CLASS_EXTERNAL, CLASS_INTERNAL, OnlineBuilder
 from .suffix_tree import Locus
 from .text_store import TextStore
+
+
+class _Registry:
+    """Two reads of the repeated suffixes, kept as index.registry only
+    for perfbench/tracing.py, which times member_at_depth(1) before each
+    live query and records member_count(). Nothing in the library calls
+    them; ROADMAP item 1 takes the tracer off them and removes the class."""
+
+    def __init__(self, builder: OnlineBuilder):
+        self.builder = builder
+        self.store = builder.store
+        self.tree = builder.tree
+
+    def member_count(self) -> int:
+        self.builder.ensure_usable()
+        return self.builder.active_depth()
+
+    def member_at_depth(self, depth: int):
+        """Edge child of the locus of the repeated suffix of the given
+        length, or None. There is at most one per length. O(depth)."""
+        self.builder.ensure_usable()
+        if depth <= 0 or depth > self.builder.active_depth():
+            return None
+        syms = self.store._symbols
+        return self.tree.locate(syms[len(syms) - depth:]).node
 
 
 class NetFrequencyIndex:
@@ -22,8 +41,7 @@ class NetFrequencyIndex:
     Symbols stream in through extend()/extend_text(); queries are valid
     between extensions. seal() terminates the text, after which queries
     run against the classic sentinel-terminated tree. Queries read the
-    builder's active point; the registry is a read-only view of the
-    repeated suffixes, for inspection. An exception that escapes an
+    builder's active point. An exception that escapes an
     update mid-phase leaves the index unusable: later updates and queries
     raise RuntimeError, chained to that exception.
     """
@@ -32,7 +50,7 @@ class NetFrequencyIndex:
         self.store = TextStore(alphabet_size)
         self.builder = OnlineBuilder(self.store)
         self.tree = self.builder.tree
-        self.registry = ImplicitRegistry(self.builder)
+        self.registry = _Registry(self.builder)
 
     def __len__(self) -> int:
         return len(self.store)
@@ -76,17 +94,17 @@ class NetFrequencyIndex:
         the update path. n is the text length (with the sentinel once
         sealed); nodes = 1 + branching + leaves. external, internal and
         coinciding count the repeated suffixes by the class of their
-        locus, from one walk (ImplicitRegistry.members). branch_rows is
-        the length of each branching column (the root's row included)
+        locus, from one walk (OnlineBuilder.repeated_suffixes). branch_rows
+        is the length of each branching column (the root's row included)
         and leaf_rows that of leaf_parent, one slot per leaf."""
-        members = self.registry.members()
+        suffixes = self.builder.repeated_suffixes()
         tree = self.tree
         out = {"n": len(self.store), "active_depth": self.builder.active_depth(),
                "nodes": tree.node_count(), "branching": tree.branching_count(),
                "leaves": tree.leaf_count()}
         for cls in (CLASS_EXTERNAL, CLASS_INTERNAL, CLASS_COINCIDING):
             out[cls] = 0
-        for _d, _s, _u, cls in members:
+        for _d, _s, _u, cls in suffixes:
             out[cls] += 1
         out["branch_rows"] = len(tree.lstart)
         out["leaf_rows"] = len(tree.leaf_parent)
@@ -95,6 +113,3 @@ class NetFrequencyIndex:
     def dump_tree(self) -> str:
         self.builder.ensure_usable()
         return self.tree.dump()
-
-    def dump_registry(self) -> str:
-        return self.registry.dump()

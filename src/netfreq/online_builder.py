@@ -10,6 +10,13 @@ leaf child's one leaf_parent entry. One phase loop serves every entry
 point, and nothing observes it: the queries read the longest repeated
 suffix, its length and leftmost start, off the active point (see
 nf_query).
+
+The repeated suffixes of the text are exactly the suffixes of the
+active string, of lengths 1 .. A, A the active depth, so nothing needs
+to be stored to find them: repeated_suffixes() walks from the active
+point down the chain of shorter suffixes, as the update does, in O(A)
+amortized, and classes each locus (on a leaf edge, inside an internal
+edge, or exactly at a branching node).
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ from operator import index
 from .suffix_tree import NIL, ROOT, Locus, SuffixTree
 from .text_store import TextStore, as_symbols
 
+CLASS_EXTERNAL = "external"
+CLASS_INTERNAL = "internal"
+CLASS_COINCIDING = "coinciding"
+
 
 class OnlineBuilder:
     """Maintains a SuffixTree over a growing TextStore.
@@ -26,8 +37,9 @@ class OnlineBuilder:
     extend() appends one symbol and runs the update cascade. The active
     point is kept as (active_node, active_edge, active_length) where
     active_edge is a 0-based text position of the next unmatched symbol.
-    Invariant between extensions: remainder equals the length of the
-    active string (the longest repeated suffix).
+    Between extensions the active string is the longest repeated suffix,
+    and its length, active_depth(), is the number of suffixes a phase
+    still has to insert.
     """
 
     def __init__(self, store: TextStore):
@@ -36,7 +48,6 @@ class OnlineBuilder:
         self.active_node = ROOT
         self.active_edge = 0
         self.active_length = 0
-        self.remainder = 0
         self._failure: BaseException | None = None
         if len(store) != 0:
             raise ValueError("builder requires an empty store")
@@ -90,6 +101,53 @@ class OnlineBuilder:
     def active_depth(self) -> int:
         return self.tree.depth_arr[self.active_node] + self.active_length
 
+    def repeated_suffixes(self) -> list[tuple[int, int, int, str]]:
+        """Every repeated suffix, longest first, as (depth, 1-based start,
+        edge child, class). A locus exactly at a branching node has that
+        node as its edge child and is coinciding; otherwise it is external
+        on a leaf edge and internal on a branching one. Class order along
+        the list is external, internal, coinciding (segments may be empty).
+
+        Starts at the active point and keeps (node, edge, length) with
+        str(node) + text[edge:edge + length] the current suffix. Between
+        suffixes it takes the suffix link of node, or drops the first symbol
+        at the root, then moves down while the point is at or past the end
+        of the edge below (a leaf edge is open, so it never is). Node depth
+        drops by at most one per suffix link, so the moves down total O(A)."""
+        self.ensure_usable()
+        tree = self.tree
+        syms = self.store._symbols
+        child_map = tree.child_map
+        depth_arr = tree.depth_arr
+        slink_arr = tree.slink_arr
+        node = self.active_node
+        edge = self.active_edge
+        length = self.active_length
+        n = len(syms)
+        out = []
+        for d in range(self.active_depth(), 0, -1):
+            while length:
+                v = child_map[node][syms[edge]]
+                if v < 0:  # a leaf: its edge is open
+                    break
+                elen = depth_arr[v] - depth_arr[node]
+                if length < elen:
+                    break
+                node = v
+                edge += elen
+                length -= elen
+            if length:
+                u = child_map[node][syms[edge]]
+                out.append((d, n - d + 1, u, CLASS_EXTERNAL if u < 0 else CLASS_INTERNAL))
+            else:
+                out.append((d, n - d + 1, node, CLASS_COINCIDING))
+            if node == ROOT:
+                edge += 1
+                length -= 1
+            else:
+                node = slink_arr[node]
+        return out
+
     # -- update cascade --------------------------------------------------
 
     def _phases(self, first: int) -> None:
@@ -115,7 +173,8 @@ class OnlineBuilder:
         active_node = self.active_node
         active_edge = self.active_edge
         active_length = self.active_length
-        remainder = self.remainder
+        # suffixes still to insert: between calls, the active depth
+        remainder = depth_arr[active_node] + active_length
         # n is the text length a phase ends with; its new symbol is at n - 1.
         # A while loop: a one-symbol extend() pays less for it than for range().
         n = first
@@ -188,4 +247,3 @@ class OnlineBuilder:
         self.active_node = active_node
         self.active_edge = active_edge
         self.active_length = active_length
-        self.remainder = remainder

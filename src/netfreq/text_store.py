@@ -92,12 +92,3 @@ class TextStore:
         if not (1 <= i and i <= j and j <= n):
             raise ValueError(f"range [{i}, {j}] invalid for length {n}")
         return tuple(self._symbols[i - 1:j])
-
-    def frequency(self, s) -> int:
-        """Occurrence count of s in the current text by naive scan."""
-        q = list(as_symbols(s))
-        m = len(q)
-        if m == 0:
-            raise ValueError("empty query")
-        t = self._symbols
-        return sum(1 for i in range(len(t) - m + 1) if t[i:i + m] == q)

@@ -1,8 +1,9 @@
-"""Slow checks of the repeated-suffix view, shared by the tests.
+"""Slow checks of the repeated suffixes, shared by the tests.
 
-The view's members() come from one walk down the suffix links from the
-active point; these helpers check them against a descent from the root
-and read the per-edge depths and the coinciding members off them.
+OnlineBuilder.repeated_suffixes() comes from one walk down the suffix
+links from the active point; these helpers check it against a descent
+from the root and read the per-edge depths and the coinciding suffixes
+off it.
 """
 
 from netfreq import CLASS_COINCIDING, CLASS_EXTERNAL, CLASS_INTERNAL
@@ -10,19 +11,19 @@ from netfreq import CLASS_COINCIDING, CLASS_EXTERNAL, CLASS_INTERNAL
 CLASS_RANK = {CLASS_EXTERNAL: 0, CLASS_INTERNAL: 1, CLASS_COINCIDING: 2}
 
 
-def check_loci(reg) -> None:
-    """Assert that the view has one member per length 1 .. A, A the
-    active depth, that each member's edge child is the locus a descent
-    from the root (tree.locate) gives for that suffix, and that the
-    classes run in chain order. O(A^2); for tests only."""
-    syms = reg.store._symbols
+def check_loci(builder) -> None:
+    """Assert that the builder lists one repeated suffix per length
+    1 .. A, A the active depth, that each one's edge child is the locus a
+    descent from the root (tree.locate) gives for that suffix, and that
+    the classes run in chain order. O(A^2); for tests only."""
+    syms = builder.store._symbols
     n = len(syms)
-    members = reg.members()
-    a = reg.builder.active_depth()
+    members = builder.repeated_suffixes()
+    a = builder.active_depth()
     assert [d for d, _s, _u, _c in members] == list(range(a, 0, -1)), members
     for d, start, u, _c in members:
         assert start == n - d + 1, (d, start)
-        assert reg.tree.locate(syms[n - d:]).node == u, (d, u)
+        assert builder.tree.locate(syms[n - d:]).node == u, (d, u)
     ranks = [CLASS_RANK[c] for _d, _s, _u, c in members]
     assert ranks == sorted(ranks), f"chain segment order violated: {members}"
 

@@ -142,10 +142,9 @@ def _check_registry_prefix(ix, text, hint):
     by at most one per appended symbol, so last length + 1 is always safe.
     Returns the cap for the next prefix.
     """
-    reg = ix.registry
     tree = ix.tree
     n = len(text)
-    members = reg.members()
+    members = ix.builder.repeated_suffixes()
     got = {(d, s) for d, s, _u, _c in members}
     expect = {(length, n - length + 1) for length, _sym in
               oracle_repeated_suffixes(text, max_length=hint)}

@@ -1,11 +1,13 @@
 """The benchmark still runs against the library: one short untraced and
 one short traced run of perfbench/run.py on the tandem stream.
 
-The traced run reads library names (the index's registry view,
-SuffixTree.locate, online_builder.as_symbols); a name it cannot find is
-reported as absent rather than failing the run, so the set of absent
-metrics is pinned here. The four absent today time construction hooks
-and a method that no longer exist.
+The traced run reads library names (SuffixTree.locate,
+online_builder.as_symbols, and the two tracer reads left on
+index.registry: member_at_depth(1) before each live query and
+member_count()); a name it cannot find is reported as absent rather
+than failing the run, so the set of absent metrics is pinned here. The
+four absent today time construction hooks and a method that no longer
+exist.
 """
 
 import json

@@ -1,4 +1,5 @@
-"""The repeated-suffix view: membership, classes, progressions."""
+"""The repeated suffixes read off the active point: membership, classes,
+progressions."""
 
 import random
 
@@ -23,7 +24,7 @@ def live(text):
 
 def test_worked_text_member_classes_in_chain_order():
     ix = live(b"aabaabababaa")
-    got = [(depth, start, cls) for depth, start, _node, cls in ix.registry.members()]
+    got = [(depth, start, cls) for depth, start, _node, cls in ix.builder.repeated_suffixes()]
     assert got == [
         (4, 9, CLASS_EXTERNAL),
         (3, 10, CLASS_EXTERNAL),
@@ -34,14 +35,14 @@ def test_worked_text_member_classes_in_chain_order():
 
 def test_member_count_and_depths_are_contiguous():
     ix = live(b"aabaabababaa")
-    assert ix.registry.member_count() == 4
-    assert [m[0] for m in ix.registry.members()] == [4, 3, 2, 1]
+    assert ix.active_depth() == 4
+    assert [m[0] for m in ix.builder.repeated_suffixes()] == [4, 3, 2, 1]
 
 
 def test_run_text_leaf_edge_progression():
     ix = live(b"aaaa")
     child = ix.tree.child(ROOT, ord("a"))
-    depths = edge_depths(ix.registry.members())
+    depths = edge_depths(ix.builder.repeated_suffixes())
     assert depths[child] == [1, 2, 3]
     assert progression(depths[child]) == (1, 1, 3)
     assert list(depths) == [child]
@@ -49,9 +50,9 @@ def test_run_text_leaf_edge_progression():
 
 def test_unique_symbols_leave_every_edge_clean():
     ix = live(b"ab")
-    assert ix.registry.members() == []
-    assert ix.registry.member_count() == 0
-    assert edge_depths(ix.registry.members()) == {}
+    assert ix.builder.repeated_suffixes() == []
+    assert ix.active_depth() == 0
+    assert edge_depths(ix.builder.repeated_suffixes()) == {}
 
 
 def test_coincidence_at_branching_nodes():
@@ -59,7 +60,7 @@ def test_coincidence_at_branching_nodes():
     loc = ix.tree.locate(b"a")
     assert loc.d == ix.tree.depth(loc.node)
     assert ix.registry.member_at_depth(loc.d) == loc.node
-    assert longest_coinciding(ix.registry.members()) == (loc.node, 1)
+    assert longest_coinciding(ix.builder.repeated_suffixes()) == (loc.node, 1)
     # "ba" is not a suffix here, so its branching node does not coincide
     loc2 = ix.tree.locate(b"ba")
     assert loc2.d == ix.tree.depth(loc2.node) == 2
@@ -70,7 +71,7 @@ def test_coincidence_requires_a_branching_node():
     ix = live(b"abab")
     loc = ix.tree.locate(b"ab")
     assert ix.tree.is_leaf(loc.node)
-    members = ix.registry.members()
+    members = ix.builder.repeated_suffixes()
     assert [(d, u, c) for d, _s, u, c in members][0] == (2, loc.node, CLASS_EXTERNAL)
     assert [c for _d, _s, _u, c in members] == [CLASS_EXTERNAL, CLASS_EXTERNAL]
     assert longest_coinciding(members) is None
@@ -79,7 +80,7 @@ def test_coincidence_requires_a_branching_node():
 def test_member_at_depth_lookup():
     ix = live(b"aabaabababaa")
     reg = ix.registry
-    by_depth = {d: node for d, _s, node, _c in reg.members()}
+    by_depth = {d: node for d, _s, node, _c in ix.builder.repeated_suffixes()}
     for d in range(1, 5):
         assert reg.member_at_depth(d) == by_depth[d]
     assert reg.member_at_depth(5) is None
@@ -89,23 +90,14 @@ def test_member_at_depth_lookup():
 def test_sealing_empties_the_registry():
     ix = live(b"aabaabababaa")
     ix.seal()
-    assert ix.registry.members() == []
-    assert longest_coinciding(ix.registry.members()) is None
-
-
-def test_dump_lines_follow_chain_order():
-    ix = live(b"aabaabababaa")
-    lines = ix.dump_registry().strip().splitlines()
-    assert len(lines) == 4
-    classes = [ln.split("\t")[2] for ln in lines]
-    assert classes == [CLASS_EXTERNAL, CLASS_EXTERNAL, CLASS_INTERNAL, CLASS_COINCIDING]
+    assert ix.builder.repeated_suffixes() == []
+    assert longest_coinciding(ix.builder.repeated_suffixes()) is None
 
 
 def check_invariants(ix, text):
-    reg = ix.registry
     tree = ix.tree
     n = len(text)
-    members = reg.members()
+    members = ix.builder.repeated_suffixes()
     # exact set equality against the scanning oracle
     expect = {(length, n - length + 1) for length, _s in oracle_repeated_suffixes(text)}
     assert {(d, s) for d, s, _u, _c in members} == expect
@@ -159,7 +151,7 @@ def test_verify_after_every_extension():
         ix = NetFrequencyIndex()
         for c in text:
             ix.extend(c)
-            check_loci(ix.registry)
+            check_loci(ix.builder)
 
 
 def test_recompute_matches_incremental_records():
@@ -167,7 +159,7 @@ def test_recompute_matches_incremental_records():
     for _ in range(20):
         n = rng.randrange(1, 70)
         text = bytes(rng.randrange(3) + 97 for _ in range(n))
-        check_loci(live(text).registry)
+        check_loci(live(text).builder)
 
 
 def test_queries_resync_after_more_text():

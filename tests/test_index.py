@@ -65,7 +65,6 @@ def test_dumps_are_printable():
     ix = NetFrequencyIndex()
     ix.extend_text(b"aabaabababaa")
     assert len(ix.dump_tree().splitlines()) == ix.node_count()
-    assert len(ix.dump_registry().splitlines()) == 4
 
 
 def test_rejects_queries_on_empty_index():
@@ -88,7 +87,7 @@ def test_stats_are_derived_from_the_text():
             assert (st["n"], st["active_depth"], st["leaves"]) == (k, a, k - a)
             assert st["nodes"] == 1 + st["branching"] + st["leaves"] == ix.node_count()
             assert st["external"] + st["internal"] + st["coinciding"] == a
-            classes = [c for _d, _s, _u, c in ix.registry.members()]
+            classes = [c for _d, _s, _u, c in ix.builder.repeated_suffixes()]
             for cls in ("external", "internal", "coinciding"):
                 assert st[cls] == classes.count(cls)
             assert (st["branch_rows"], st["leaf_rows"]) == (st["branching"] + 1, st["leaves"])

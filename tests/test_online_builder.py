@@ -7,7 +7,6 @@ import pytest
 from arena_checks import node_ids
 from loci_checks import check_loci
 from netfreq import (
-    ImplicitRegistry,
     NetFrequencyIndex,
     OnlineBuilder,
     TextStore,
@@ -17,7 +16,6 @@ from netfreq import (
     oracle_nf,
     oracle_repeated_suffixes,
 )
-from netfreq.implicit_registry import suffix_loci
 from netfreq.suffix_tree import NIL
 
 
@@ -33,8 +31,8 @@ def tree_state(ix):
         [(t.parent_of(u), t.edge_span(u)) for u in node_ids(t)],
         list(t.depth_arr), list(t.slink_arr),
         [dict(m) for m in t.child_map], list(t.leaf_parent),
-        b.active_node, b.active_edge, b.active_length, b.remainder,
-        ix.registry.members(),
+        b.active_node, b.active_edge, b.active_length,
+        b.repeated_suffixes(),
     )
 
 
@@ -68,20 +66,19 @@ def test_mixed_bulk_segments_agree_with_per_symbol():
 
 
 def test_event_stream_replays_into_equal_registry():
-    # the registry view of a bare builder fed the same stream agrees with
-    # the index's after every append
+    # the repeated suffixes of a bare builder fed the same stream agree
+    # with the index's after every append
     rng = random.Random(9)
     for _ in range(25):
         n = rng.randrange(1, 80)
         text = bytes(rng.randrange(2) + 97 for _ in range(n))
         builder = OnlineBuilder(TextStore())
-        shadow = ImplicitRegistry(builder)
         ix = fresh()
         for c in text:
             builder.extend(c)
             ix.extend(c)
-            assert ix.registry.members() == shadow.members()
-        check_loci(shadow)
+            assert ix.builder.repeated_suffixes() == builder.repeated_suffixes()
+        check_loci(builder)
 
 
 def longest_repeated(codes):
@@ -114,8 +111,8 @@ def test_active_depth_is_the_longest_repeated_suffix_after_every_update():
 
 
 def test_registry_view_reads_the_current_text_after_every_update():
-    # the view keeps nothing between calls, so every update, bulk or not,
-    # shows in the next read
+    # nothing about the repeated suffixes is kept between calls, so every
+    # update, bulk or not, shows in the next read
     ix = fresh()
     done = b""
     for part in (b"ab", b"a", b"abaababa", b"b"):
@@ -124,20 +121,13 @@ def test_registry_view_reads_the_current_text_after_every_update():
         else:
             ix.extend_text(part)
         done += part
-        assert ix.registry.member_count() == longest_repeated(done)
-        assert [m[0] for m in ix.registry.members()] == list(
+        assert ix.active_depth() == longest_repeated(done)
+        assert [m[0] for m in ix.builder.repeated_suffixes()] == list(
             range(longest_repeated(done), 0, -1))
-        check_loci(ix.registry)
+        check_loci(ix.builder)
     ix.seal()
-    assert ix.registry.members() == []
-    check_loci(ix.registry)
-
-
-def test_remainder_equals_active_depth_between_phases():
-    ix = fresh()
-    for c in b"aabaabababaa":
-        ix.extend(c)
-        assert ix.builder.remainder == ix.active_depth()
+    assert ix.builder.repeated_suffixes() == []
+    check_loci(ix.builder)
 
 
 def test_worked_text_active_depth_and_nodes():
@@ -154,7 +144,7 @@ def test_seal_flushes_pending_suffixes():
     assert ix.sealed
     assert ix.active_depth() == 0
     assert ix.tree.leaf_count() == 13
-    assert ix.registry.member_count() == 0
+    assert ix.builder.repeated_suffixes() == []
     with pytest.raises(ValueError):
         ix.extend(ord("a"))
     with pytest.raises(ValueError):
@@ -241,9 +231,9 @@ def test_failure_mid_phase_stops_every_read_below_the_facade():
     assert oracle_nf(b"abcabxabca", b"abca") == 2
     reg = ix.registry
     for op in (lambda: online_single_nf(ix.builder, b"abca"),
-               lambda: online_all_nf(ix.builder), lambda: suffix_loci(ix.builder),
+               lambda: online_all_nf(ix.builder), ix.builder.repeated_suffixes,
                ix.active_locus, ix.active_depth, ix.node_count, ix.dump_tree,
-               reg.members, reg.member_count, lambda: reg.member_at_depth(1), reg.dump):
+               reg.member_count, lambda: reg.member_at_depth(1)):
         with pytest.raises(RuntimeError) as err:
             op()
         assert isinstance(err.value.__cause__, ArenaFailure)

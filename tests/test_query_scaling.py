@@ -33,7 +33,7 @@ def test_single_query_scales_linearly_in_its_length(sealed):
     ix.extend_text(b"a" * K + b"b")
     if sealed:
         ix.seal()
-    assert ix.registry.member_count() == 0
+    assert ix.active_depth() == 0
     queries = [b"a" * (K // 8), b"a" * (K // 4), b"a" * (K // 2)]
     for q in queries:
         # the occurrence before b is the only one with a unique right

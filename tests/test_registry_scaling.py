@@ -45,7 +45,7 @@ def run_then_new_symbol(k):
         ix.extend(97)
     assert ix.single_nf(b"a" * (k - 1)) == 2
     ix.extend(98)
-    assert ix.registry.member_count() == 0
+    assert ix.active_depth() == 0
 
 
 def periodic_stream(n):
@@ -56,7 +56,7 @@ def periodic_stream(n):
     for c in (unit * (n // len(unit) + 1))[:n]:
         ix.extend(c)
         ix.single_nf(b"ab")
-    assert ix.registry.member_count() == n - len(unit)
+    assert ix.active_depth() == n - len(unit)
 
 
 def short_period_text(n):
@@ -67,7 +67,7 @@ def short_period_text(n):
     ix.all_nf()
     ix.extend(99)
     ix.all_nf()
-    assert ix.registry.member_count() == 0
+    assert ix.active_depth() == 0
 
 
 def run_reread_after_a_new_symbol(k):
@@ -82,7 +82,7 @@ def run_reread_after_a_new_symbol(k):
         ix.extend(97)
         if m > half - 64:
             assert ix.single_nf(b"a" * 8) == 0
-    assert ix.registry.member_count() == half
+    assert ix.active_depth() == half
 
 
 def test_run_closed_by_a_new_symbol_scales_linearly():

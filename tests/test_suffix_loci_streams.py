@@ -1,4 +1,4 @@
-"""suffix_loci on loaded streams: the locus the walk from the active
+"""repeated_suffixes() on loaded streams: the locus the walk from the active
 point finds for every repeated suffix equals a descent from the root
 (tree.locate), on tandem streams and after a bulk build."""
 
@@ -37,7 +37,7 @@ def test_moved_members_land_in_start_order():
             for k, c in enumerate(text, 1):
                 ix.extend(c)
                 if k % every == 0:
-                    check_loci(ix.registry)
+                    check_loci(ix.builder)
 
 
 def test_verify_after_a_bulk_build_and_every_append():
@@ -47,7 +47,7 @@ def test_verify_after_a_bulk_build_and_every_append():
     text = (b"abaab" * 400) + bytes(rng.choice(DNA) for _ in range(500)) + b"abaab" * 60
     ix = NetFrequencyIndex()
     ix.extend_text(text)
-    check_loci(ix.registry)
+    check_loci(ix.builder)
     for c in b"abaabab" * 20 + b"c":
         ix.extend(c)
-        check_loci(ix.registry)
+        check_loci(ix.builder)

@@ -57,20 +57,6 @@ def test_seal_appends_sentinel_and_freezes():
         st.seal()
 
 
-def test_frequency_counts_overlapping_occurrences():
-    st = TextStore()
-    for c in b"aabaabababaa":
-        st.append(c)
-    # hand-counted
-    assert st.frequency(as_symbols(b"aa")) == 3
-    assert st.frequency(as_symbols(b"aba")) == 4
-    assert st.frequency(as_symbols(b"zz")) == 0
-    st2 = TextStore()
-    for c in b"aaaa":
-        st2.append(c)
-    assert st2.frequency(as_symbols(b"aa")) == 3
-
-
 def test_as_symbols_accepts_str_bytes_and_ints():
     assert as_symbols("ab") == (97, 98)
     assert as_symbols(b"ab") == (97, 98)
