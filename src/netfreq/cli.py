@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import random
 import sys
 import time
@@ -58,7 +59,7 @@ def cmd_offline(args, stdout, stderr) -> int:
     index.extend_text(data)
     index.seal()
     if args.query is not None:
-        query = args.query.encode("utf-8")
+        query = os.fsencode(args.query)  # the argv bytes, even where not UTF-8
         if not query:
             print("netfreq: --query must be non-empty", file=stderr)
             return 2

@@ -168,7 +168,7 @@ def _node_locus(tree: SuffixTree, s):
 
 
 def _require_sealed(tree: SuffixTree) -> None:
-    if not tree.sealed:
+    if not tree.store.sealed:
         raise ValueError("offline queries need a sealed tree")
 
 

@@ -58,17 +58,17 @@ class OnlineBuilder:
         """Append one symbol and update the tree. A one-character str
         stands for its code point; anything else must be an int (see
         as_symbols), or TypeError is raised before anything is appended."""
-        if type(symbol) is not int:
-            symbol = ord(symbol) if isinstance(symbol, str) else index(symbol)
         if self._failure is not None:  # ensure_usable(), inlined on the hot path
             self.ensure_usable()
+        if type(symbol) is not int:
+            symbol = ord(symbol) if isinstance(symbol, str) else index(symbol)
         self._phases(self.store.append(symbol) - 1)
 
     def extend_text(self, text) -> None:
         """Append every symbol of text. Same effect as repeated extend();
         a symbol outside the alphabet rejects the whole text."""
-        codes = as_symbols(text)
         self.ensure_usable()
+        codes = as_symbols(text)
         first = len(self.store)
         self.store.extend(codes)
         self._phases(first)

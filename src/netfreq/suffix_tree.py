@@ -34,7 +34,7 @@ class SuffixTree:
     code. Edges and parents are not stored: v's edge is the tail of
     str(v) = text[lstart[v]:lstart[v] + depth(v)] below its parent, and
     the parent is found by a descent along str(v) from the root, for
-    inspection only (parent_of, edge_span).
+    inspection only (parent_of, dump, canonical_form).
 
     A leaf is not a row of those lists. The leaf of the suffix starting
     at 0-based position p has id ~p (a negative int), and its one stored
@@ -59,10 +59,6 @@ class SuffixTree:
 
     # -- arena basics ------------------------------------------------------
 
-    @property
-    def sealed(self) -> bool:
-        return self.store.sealed
-
     def node_count(self) -> int:
         """Root, branching nodes and leaves."""
         return len(self.lstart) + len(self.leaf_parent)
@@ -72,12 +68,6 @@ class SuffixTree:
 
     def branching_count(self) -> int:
         return len(self.lstart) - 1
-
-    def is_leaf(self, u: int) -> bool:
-        return 0 <= ~u < len(self.leaf_parent)
-
-    def is_branching(self, u: int) -> bool:
-        return 0 < u < len(self.lstart)
 
     # -- navigation --------------------------------------------------------
 
@@ -99,12 +89,6 @@ class SuffixTree:
             if v == u:
                 return w
             w = v
-
-    def child(self, u: int, y: int):
-        """Child of u along symbol y, or None when absent."""
-        if u < 0:
-            return None
-        return self.child_map[u].get(y)
 
     def children(self, u: int) -> Iterator[tuple[int, int]]:
         """(symbol, child) pairs in symbol order; empty for leaves."""
@@ -134,24 +118,12 @@ class SuffixTree:
             raise ValueError("root has no string")
         return self.lstart[u] + 1
 
-    def edge_span(self, u: int) -> tuple[int, int]:
-        """Incoming edge label as 1-based (start, end), cut from the
-        leftmost occurrence of str(u); open ends resolve to the current
-        text length."""
-        if u == ROOT:
-            raise ValueError("root has no incoming edge")
-        return self._edge(u, self.parent_of(u))
-
     def _edge(self, u: int, par: int) -> tuple[int, int]:
-        # edge_span(u) given u's parent, which a walk from the root holds
+        # u's incoming edge label as 1-based (start, end), cut from the
+        # leftmost occurrence of str(u), given u's parent, which a walk
+        # from the root holds; an open end resolves to the text length
         s = self.start(u)
         return (s + self.depth_arr[par], s - 1 + self.depth(u))
-
-    def slink(self, u: int) -> int:
-        """Suffix link of a branching node."""
-        if not self.is_branching(u):
-            raise ValueError("suffix links exist on branching nodes only")
-        return self.slink_arr[u]
 
     # -- search ------------------------------------------------------------
 
@@ -193,19 +165,6 @@ class SuffixTree:
         if self.store._symbols[st:st + m] != q:
             return None
         return tuple.__new__(Locus, (v, m))
-
-    def subtree_leaf_count(self, u: int) -> int:
-        """Leaves in the subtree rooted at u (u itself counts if a leaf)."""
-        child_map = self.child_map
-        total = 0
-        stack = [u]
-        while stack:
-            v = stack.pop()
-            if v < 0:
-                total += 1
-            else:
-                stack.extend(child_map[v].values())
-        return total
 
     # -- serialization -----------------------------------------------------
 

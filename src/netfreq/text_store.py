@@ -78,17 +78,3 @@ class TextStore:
         self._symbols.append(self.sentinel)
         self.sealed = True
         return len(self._symbols)
-
-    def symbol_at(self, i: int) -> int:
-        """Symbol at 1-based position i."""
-        n = len(self._symbols)
-        if not 1 <= i <= n:
-            raise ValueError(f"position {i} out of range 1..{n}")
-        return self._symbols[i - 1]
-
-    def substring(self, i: int, j: int) -> tuple[int, ...]:
-        """Symbols of the closed 1-based range [i, j]."""
-        n = len(self._symbols)
-        if not (1 <= i and i <= j and j <= n):
-            raise ValueError(f"range [{i}, {j}] invalid for length {n}")
-        return tuple(self._symbols[i - 1:j])

@@ -7,6 +7,27 @@ leaf_parent[p].
 """
 
 
+def edge_span(tree, u) -> tuple[int, int]:
+    """u's incoming edge label as 1-based (start, end), cut from the
+    leftmost occurrence of str(u) at start(u): it runs from the parent's
+    depth to u's own, so an open leaf edge ends at the text length."""
+    s = tree.start(u)
+    return (s + tree.depth(tree.parent_of(u)), s - 1 + tree.depth(u))
+
+
+def subtree_leaf_count(tree, u) -> int:
+    """Leaves in the subtree rooted at u (u itself counts if a leaf)."""
+    total = 0
+    stack = [u]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            total += 1
+        else:
+            stack.extend(tree.child_map[v].values())
+    return total
+
+
 def node_ids(tree) -> list[int]:
     """Every node id but the root's: branching ids, then leaf ids."""
     return list(range(1, len(tree.lstart))) + [~p for p in range(tree.leaf_count())]
@@ -32,11 +53,10 @@ def check_arena(tree) -> None:
             assert v not in seen, v
             seen.add(v)
             assert tree.parent_of(v) == u, (u, v)
-            assert tree.store._symbols[tree.edge_span(v)[0] - 1] == y, (u, y, v)
+            assert tree.store._symbols[edge_span(tree, v)[0] - 1] == y, (u, y, v)
     assert len(seen) == branching - 1 + leaves
     for p, u in enumerate(tree.leaf_parent):
         assert ~p in tree.child_map[u].values(), (p, u)
-        assert tree.is_leaf(~p) and not tree.is_branching(~p)
         assert tree.depth(~p) == n - p, p
         assert tree.start(~p) == p + 1, p
     syms = tree.store._symbols

@@ -6,7 +6,7 @@ from the root and read the per-edge depths and the coinciding suffixes
 off it.
 """
 
-from netfreq import CLASS_COINCIDING, CLASS_EXTERNAL, CLASS_INTERNAL
+from netfreq import CLASS_COINCIDING, CLASS_EXTERNAL, CLASS_INTERNAL, oracle_repeated_suffixes
 
 CLASS_RANK = {CLASS_EXTERNAL: 0, CLASS_INTERNAL: 1, CLASS_COINCIDING: 2}
 
@@ -56,3 +56,38 @@ def longest_coinciding(members):
     """(node, depth) of the longest member ending exactly on a branching
     node, or None."""
     return next(((u, d) for d, _s, u, c in members if c == CLASS_COINCIDING), None)
+
+
+def check_repeated_suffixes(ix, text, hint=None) -> int:
+    """Assert the repeated suffixes of ix against the scanning oracle
+    over text (the same set), their chain order (class segments in
+    CLASS_RANK order, depths descending), and their spread over edges:
+    at most one member on an internal edge, between the endpoint depths;
+    on a leaf edge an ascending arithmetic progression that starts above
+    the parent; every edge child one of node_ids(tree). O(members) apart
+    from the oracle's scan, which hint caps: the longest repeated suffix
+    grows by at most one per appended symbol, so the last length + 1 is
+    always safe. Returns the cap for the next prefix."""
+    tree = ix.tree
+    n = len(text)
+    members = ix.builder.repeated_suffixes()
+    got = {(d, s) for d, s, _u, _c in members}
+    expect = {(length, n - length + 1) for length, _sym in
+              oracle_repeated_suffixes(text, max_length=hint)}
+    assert got == expect, (text, got, expect)
+    ranks = [CLASS_RANK[c] for _d, _s, _u, c in members]
+    assert ranks == sorted(ranks), text
+    depths = [m[0] for m in members]
+    assert depths == sorted(depths, reverse=True), text
+    for u, ds in edge_depths(members).items():
+        # u is in node_ids(tree): a branching id past the root, or a leaf
+        assert 0 < u < len(tree.lstart) or 0 <= ~u < tree.leaf_count(), (text, u)
+        top = tree.depth(tree.parent_of(u))
+        if u > 0:
+            assert len(ds) <= 1 and top < ds[0] <= tree.depth(u), (text, u)
+        else:
+            first, step, count = progression(ds)
+            assert count == len(ds) and first == ds[0] and first > top, (text, u)
+            assert all(ds[k] == first + step * k for k in range(count)), (text, u)
+            assert ds == sorted(ds), (text, u)
+    return (depths[0] if depths else 0) + 1

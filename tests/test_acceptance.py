@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from loci_checks import CLASS_RANK, edge_depths, progression
+from loci_checks import check_repeated_suffixes
 from netfreq import (
     NetFrequencyIndex,
     naive_implicit_tree,
@@ -24,7 +24,6 @@ from netfreq import (
     online_single_nf,
     oracle_all_nf,
     oracle_nf,
-    oracle_repeated_suffixes,
 )
 from netfreq.cli import cmd_bench
 from test_suffix_tree import _fibonacci_word
@@ -67,7 +66,7 @@ def _online_rows(ix):
 
 def tuple_of(ix, report):
     i, j = report.occurrence
-    return tuple(ix.tree.store.substring(i, j))
+    return tuple(ix.tree.store._symbols[i - 1:j])
 
 
 def test_criterion_1_worked_example():
@@ -135,35 +134,6 @@ def test_criterion_3_exhaustive_online_binary():
     _verdict(3, "online equals oracle after every prefix of every binary text up to length 12", body)
 
 
-def _check_registry_prefix(ix, text, hint):
-    """Cheap per-prefix registry checks, O(members) not O(tree).
-
-    hint caps the oracle's suffix scan; the longest repeated suffix grows
-    by at most one per appended symbol, so last length + 1 is always safe.
-    Returns the cap for the next prefix.
-    """
-    tree = ix.tree
-    n = len(text)
-    members = ix.builder.repeated_suffixes()
-    got = {(d, s) for d, s, _u, _c in members}
-    expect = {(length, n - length + 1) for length, _sym in
-              oracle_repeated_suffixes(text, max_length=hint)}
-    assert got == expect, (text, got, expect)
-    ranks = [CLASS_RANK[c] for _d, _s, _u, c in members]
-    assert ranks == sorted(ranks), text
-    depths = [m[0] for m in members]
-    assert depths == sorted(depths, reverse=True), text
-    for u, ds in edge_depths(members).items():
-        top = tree.depth(tree.parent_of(u))
-        if tree.is_branching(u):
-            assert len(ds) <= 1 and top < ds[0] <= tree.depth(u), (text, u)
-        else:
-            first, step, count = progression(ds)
-            assert count == len(ds) and first == ds[0] and first > top, (text, u)
-            assert all(ds[k] == first + step * k for k in range(count)), (text, u)
-    return (max(d for d, _s in expect) if expect else 0) + 1
-
-
 def test_criterion_4_randomized_registry_and_agreement():
     def body():
         t0 = time.perf_counter()
@@ -177,7 +147,7 @@ def test_criterion_4_randomized_registry_and_agreement():
                 hint = 1
                 for k in range(n):
                     ix.extend(text[k])
-                    hint = _check_registry_prefix(ix, text[:k + 1], hint)
+                    hint = check_repeated_suffixes(ix, text[:k + 1], hint)
                 live_rows = _online_rows(ix)
                 ix.seal()
                 rows = ix.all_nf()

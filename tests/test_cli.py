@@ -62,6 +62,15 @@ def test_offline_single_query(tmp_path):
     assert (code, out, err) == (0, "1\n", "")
 
 
+def test_offline_query_keeps_non_utf8_argv_bytes(tmp_path):
+    # argv arrives decoded with surrogateescape; the query must be the
+    # original bytes, not a UTF-8 encoding of the escapes
+    p = tmp_path / "t.bin"
+    p.write_bytes(b"ab\xffab\xffc")
+    code, out, err = run_main(["offline", "--input", str(p), "--query", os.fsdecode(b"ab\xff")])
+    assert (code, out, err) == (0, "2\n", "")
+
+
 def test_offline_full_table(tmp_path):
     p = tmp_path / "t.bin"
     p.write_bytes(b"aabaabababaa")

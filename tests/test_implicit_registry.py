@@ -3,15 +3,14 @@ progressions."""
 
 import random
 
-from arena_checks import node_ids
-from loci_checks import CLASS_RANK, check_loci, edge_depths, longest_coinciding, progression
-from netfreq import (
-    CLASS_COINCIDING,
-    CLASS_EXTERNAL,
-    CLASS_INTERNAL,
-    NetFrequencyIndex,
-    oracle_repeated_suffixes,
+from loci_checks import (
+    check_loci,
+    check_repeated_suffixes,
+    edge_depths,
+    longest_coinciding,
+    progression,
 )
+from netfreq import CLASS_COINCIDING, CLASS_EXTERNAL, CLASS_INTERNAL, NetFrequencyIndex
 
 ROOT = 0
 
@@ -41,7 +40,7 @@ def test_member_count_and_depths_are_contiguous():
 
 def test_run_text_leaf_edge_progression():
     ix = live(b"aaaa")
-    child = ix.tree.child(ROOT, ord("a"))
+    child = ix.tree.child_map[ROOT].get(ord("a"))
     depths = edge_depths(ix.builder.repeated_suffixes())
     assert depths[child] == [1, 2, 3]
     assert progression(depths[child]) == (1, 1, 3)
@@ -70,7 +69,7 @@ def test_coincidence_at_branching_nodes():
 def test_coincidence_requires_a_branching_node():
     ix = live(b"abab")
     loc = ix.tree.locate(b"ab")
-    assert ix.tree.is_leaf(loc.node)
+    assert loc.node < 0  # a leaf
     members = ix.builder.repeated_suffixes()
     assert [(d, u, c) for d, _s, u, c in members][0] == (2, loc.node, CLASS_EXTERNAL)
     assert [c for _d, _s, _u, c in members] == [CLASS_EXTERNAL, CLASS_EXTERNAL]
@@ -94,42 +93,13 @@ def test_sealing_empties_the_registry():
     assert longest_coinciding(ix.builder.repeated_suffixes()) is None
 
 
-def check_invariants(ix, text):
-    tree = ix.tree
-    n = len(text)
-    members = ix.builder.repeated_suffixes()
-    # exact set equality against the scanning oracle
-    expect = {(length, n - length + 1) for length, _s in oracle_repeated_suffixes(text)}
-    assert {(d, s) for d, s, _u, _c in members} == expect
-    # chain runs longest to shortest in class segments of fixed order
-    ranks = [CLASS_RANK[c] for _d, _s, _u, c in members]
-    assert ranks == sorted(ranks)
-    assert [m[0] for m in members] == sorted((m[0] for m in members), reverse=True)
-    # internal edges hold at most one member, between the endpoint depths
-    by_edge = edge_depths(members)
-    ids = node_ids(tree)
-    assert set(by_edge) <= set(ids)
-    for u in ids:
-        ds = by_edge.get(u, [])
-        top = tree.depth(tree.parent_of(u))
-        if tree.is_branching(u):
-            assert len(ds) <= 1
-            for d in ds:
-                assert top < d <= tree.depth(u)
-        elif ds:
-            first, step, count = progression(ds)
-            assert count == len(ds) and first == ds[0]
-            assert [first + step * k for k in range(count)] == ds
-            assert ds == sorted(ds) and ds[0] > top
-
-
 def test_invariants_on_random_texts():
     rng = random.Random(21)
     for _ in range(50):
         n = rng.randrange(1, 90)
         sigma = rng.choice((2, 3, 4))
         text = bytes(rng.randrange(sigma) + 97 for _ in range(n))
-        check_invariants(live(text), text)
+        check_repeated_suffixes(live(text), text)
 
 
 def test_invariants_hold_after_every_extension():
@@ -140,7 +110,7 @@ def test_invariants_hold_after_every_extension():
         ix = NetFrequencyIndex()
         for k in range(n):
             ix.extend(text[k])
-            check_invariants(ix, text[:k + 1])
+            check_repeated_suffixes(ix, text[:k + 1])
 
 
 def test_verify_after_every_extension():
@@ -170,5 +140,5 @@ def test_queries_resync_after_more_text():
     for k, c in enumerate(text):
         ix.extend(c)
         if k % 7 == 0:
-            check_invariants(ix, text[:k + 1])
-    check_invariants(ix, text)
+            check_repeated_suffixes(ix, text[:k + 1])
+    check_repeated_suffixes(ix, text)

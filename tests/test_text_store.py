@@ -11,18 +11,6 @@ def test_append_returns_one_based_positions():
     assert len(st) == 3
 
 
-def test_symbol_at_and_substring_are_one_based_inclusive():
-    st = TextStore()
-    for c in b"abcd":
-        st.append(c)
-    assert st.symbol_at(1) == ord("a")
-    assert st.symbol_at(4) == ord("d")
-    assert st.substring(2, 3) == (ord("b"), ord("c"))
-    assert st.substring(1, 4) == tuple(b"abcd")
-    with pytest.raises(ValueError):
-        st.substring(3, 2)
-
-
 def test_symbol_range_is_enforced():
     st = TextStore(alphabet_size=4)
     st.append(0)
@@ -33,15 +21,6 @@ def test_symbol_range_is_enforced():
         st.append(-1)
 
 
-def test_position_bounds_raise():
-    st = TextStore()
-    st.append(ord("a"))
-    with pytest.raises(ValueError):
-        st.symbol_at(0)
-    with pytest.raises(ValueError):
-        st.symbol_at(2)
-
-
 def test_seal_appends_sentinel_and_freezes():
     st = TextStore(alphabet_size=4)
     st.append(1)
@@ -50,7 +29,7 @@ def test_seal_appends_sentinel_and_freezes():
     assert len(st) == 2
     # sentinel sits one past the alphabet, at the final position
     assert st.sentinel == 4
-    assert st.symbol_at(2) == 4
+    assert st._symbols[-1] == 4
     with pytest.raises(ValueError):
         st.append(0)
     with pytest.raises(ValueError):
